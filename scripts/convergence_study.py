@@ -28,7 +28,6 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--policy", default="sqrt", help="sqrt | logpow:<ell> | fixed:<k>")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     policy = KPolicy.parse(args.policy)
@@ -38,8 +37,7 @@ def main() -> None:
         model = get_model(name)
         for block, n in enumerate(args.n_grid):
             rs = run_replicates(model, n, policy, args.reps,
-                                RngSpec(seed=args.seed, stream_id=block * args.reps),
-                                workers=args.workers)
+                                RngSpec(seed=args.seed, stream_id=block * args.reps))
             med = float(np.median(np.abs(rs.raw_t)))
             lam = rs.constants.lam
             if lam is not None and lam > 0.0:

@@ -54,15 +54,15 @@ class RunConfig:
 
 
 def _resolve_policy(args) -> KPolicy:
-    if getattr(args, "k", None) is not None and getattr(args, "k_policy", None) is not None:
+    if args.k is not None and args.k_policy is not None:
         raise _UsageError("give either --k or --k-policy, not both")
-    if getattr(args, "k", None) is not None:
-        return KPolicy.fixed(args.k)
-    if getattr(args, "k_policy", None) is not None:
-        try:
+    try:
+        if args.k is not None:
+            return KPolicy.fixed(args.k)
+        if args.k_policy is not None:
             return KPolicy.parse(args.k_policy)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return KPolicy.sqrt()
 
 
@@ -133,12 +133,10 @@ def build_parser() -> _Parser:
     sim = subs.add_parser("simulate", help="replicate the estimator under a model")
     _add_common(sim, model=True, n=True, k=True, reps=True, seed=True, fmt=("text", "csv", "json"))
     sim.add_argument("--log-scale", action="store_true", help="estimate on log X")
-    sim.add_argument("--workers", type=int, default=1, help="replicate worker threads")
 
     ks = subs.add_parser("ks", help="simulate and test normalized statistics against Gumbel")
     _add_common(ks, model=True, n=True, k=True, reps=True, seed=True, fmt=("text", "json"))
     ks.add_argument("--log-scale", action="store_true")
-    ks.add_argument("--workers", type=int, default=1, help="replicate worker threads")
     ks.add_argument("--threshold", type=float, help="KS pass threshold (default 1.36/sqrt(M))")
 
     tab = subs.add_parser("table", help="ten-row three-estimator simulation table")
@@ -186,18 +184,16 @@ def _cmd_norming(args) -> None:
                    f"lambda_probe {probe_text}")
 
 
-def _replicates_from_args(args) -> engine.ReplicateSet:
+def _replicates_from_args(args) -> tuple[KPolicy, engine.ReplicateSet]:
     model = _get_model_checked(args.model)
     policy = _resolve_policy(args)
     rng = engine.RngSpec(seed=args.seed, stream_id=args.stream)
-    return engine.run_replicates(model, args.n, policy, args.reps, rng,
-                                 log_scale=getattr(args, "log_scale", False),
-                                 workers=getattr(args, "workers", 1))
+    rs = engine.run_replicates(model, args.n, policy, args.reps, rng, log_scale=args.log_scale)
+    return policy, rs
 
 
 def _cmd_simulate(args) -> None:
-    rs = _replicates_from_args(args)
-    policy = _resolve_policy(args)
+    policy, rs = _replicates_from_args(args)
     config = RunConfig(command="simulate", model=args.model, n=args.n,
                        k_policy=policy.spec(), reps=args.reps, seed=args.seed,
                        stream=args.stream, log_scale=args.log_scale,
@@ -216,8 +212,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ks(args) -> None:
-    rs = _replicates_from_args(args)
-    policy = _resolve_policy(args)
+    policy, rs = _replicates_from_args(args)
     lam = rs.constants.lam
     if lam is None or lam <= 0.0:
         raise GumbelTailError(f"finite-n lambda unavailable for model {args.model!r}")

@@ -4,10 +4,10 @@ Reproducibility contract
 ------------------------
 Uniform variates come from numpy's PCG64 bit generator seeded with
 ``SeedSequence([seed, stream_id])``; replicate i of a run uses stream
-``stream_id + i``, so replicates are independent and may be computed in any
-order or concurrently without changing a single bit of the output. Raw
-draws are mapped to the open-interval lattice ``(j + 0.5) / 2**53`` for
-j in [0, 2**53), which keeps every value strictly inside (0, 1).
+``stream_id + i``, so replicates are independent and each one's output
+depends only on its index. Raw draws are mapped to the open-interval
+lattice ``(j + 0.5) / 2**53`` for j in [0, 2**53), which keeps every value
+strictly inside (0, 1).
 
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,18 @@ from .models import NormingConstants, TailModel, norming, transform_log
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed and stream identifier of one deterministic uniform stream."""
+    """Seed and stream identifier of one deterministic uniform stream;
+    both must be non-negative (SeedSequence entropy)."""
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise DomainError(
+                f"seed and stream must be non-negative, got seed={self.seed}, "
+                f"stream={self.stream_id}"
+            )
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(
@@ -102,7 +109,6 @@ def run_replicates(
     m: int,
     rng: RngSpec,
     log_scale: bool = False,
-    workers: int = 1,
 ) -> ReplicateSet:
     """M independent replicates of the max-spacing estimator on the model.
 
@@ -110,8 +116,7 @@ def run_replicates(
     transforms, and records t_n and the normalized statistic
     (spacing - a_n b_n) / a_n. With log_scale=True the estimator runs on
     log X, i.e. on the log-transformed model. Results are deterministic
-    for a fixed RngSpec and ordered by replicate index regardless of the
-    worker count.
+    for a fixed RngSpec and ordered by replicate index.
     """
     if m < 1:
         raise DomainError(f"need at least one replicate, got m={m}")
@@ -130,11 +135,7 @@ def run_replicates(
         spacing = float(quantile(1.0 - u_top)) - float(quantile(1.0 - u_k))
         return spacing / log_k, (spacing - anbn) / nc.a_n
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(m)))
-    else:
-        results = [one(i) for i in range(m)]
+    results = [one(i) for i in range(m)]
 
     raw_t = np.array([r[0] for r in results])
     normalized = np.array([r[1] for r in results])

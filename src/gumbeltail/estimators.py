@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    DomainError,
     FixedOutOfRange,
     KOutOfRange,
     NonPositiveValue,
@@ -31,16 +32,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SortedSample:
-    """An ascending sample of real values, the substrate of all estimators."""
+    """An ascending sample of finite real values, the substrate of all
+    estimators."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("sample must be one-dimensional with n >= 2")
+            raise DomainError("sample must be one-dimensional with n >= 2")
+        # the ordering check below is false for NaN, so finiteness comes first
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("sample values must be finite")
         if np.any(np.diff(arr) < 0.0):
-            raise ValueError("sample values must be non-decreasing")
+            raise DomainError("sample values must be non-decreasing")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -67,11 +72,11 @@ class KPolicy:
 
     def __post_init__(self):
         if self.kind not in ("sqrt", "logpow", "fixed"):
-            raise ValueError(f"unknown k-policy kind: {self.kind!r}")
-        if self.kind == "logpow" and (self.ell is None or self.ell <= 0.0):
-            raise ValueError("logpow policy requires ell > 0")
+            raise DomainError(f"unknown k-policy kind: {self.kind!r}")
+        if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
+            raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
         if self.kind == "fixed" and (self.k is None or self.k < 1):
-            raise ValueError("fixed policy requires a positive k")
+            raise DomainError("fixed policy requires a positive k")
 
     @classmethod
     def sqrt(cls) -> "KPolicy":
@@ -120,7 +125,8 @@ def select_k(policy: KPolicy, n: int) -> int:
 
     The computed k is clamped up to 2 (log k must stay positive) and must
     satisfy k < n. Raises FixedOutOfRange for an infeasible fixed k and
-    TooSmallN when n < 4 or the computed k cannot fit below n.
+    TooSmallN when n < 4 or the computed k cannot fit below n (including
+    log(n) ** ell overflowing a float).
     """
     if n < 4:
         raise TooSmallN(f"need n >= 4, got {n}")
@@ -132,7 +138,12 @@ def select_k(policy: KPolicy, n: int) -> int:
     if policy.kind == "sqrt":
         k = math.floor(math.sqrt(n))
     else:
-        k = math.floor(math.log(n) ** policy.ell)
+        try:
+            k = math.floor(math.log(n) ** policy.ell)
+        except OverflowError:
+            raise TooSmallN(
+                f"policy {policy.spec()} gives k = log(n)**ell beyond float range at n={n}"
+            ) from None
     k = max(k, 2)
     if k >= n:
         raise TooSmallN(f"policy {policy.spec()} gives k={k} >= n={n}")

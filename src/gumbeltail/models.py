@@ -43,14 +43,13 @@ _QUAD_RTOL = 1e-8
 class TailModel:
     """A named distribution family seen through its upper tail.
 
-    quantile maps u in (0, 1) to Q(1 - u); cdf and survival are optional
-    (survival is preferred for tail work since 1 - cdf cancels).
+    quantile maps u in (0, 1) to Q(1 - u); survival, 1 - F(x), is optional
+    and needed only where r must come from quadrature.
     upper_endpoint / lower_endpoint are the support ends A and B.
     """
 
     name: str
     quantile: Callable[[np.ndarray | float], np.ndarray | float]
-    cdf: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     survival: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     aux_r: Callable[[float], float] | None = None
     aux_exact: bool = True
@@ -59,15 +58,10 @@ class TailModel:
     mean_excess_finite: bool = True
 
     def sf(self, x):
-        """Survival 1 - F(x), from the dedicated callable when present."""
-        if self.survival is not None:
-            return self.survival(x)
-        if self.cdf is None:
-            raise NoCdf(f"model {self.name!r} has no CDF")
-        return 1.0 - self.cdf(x)
-
-    def has_cdf(self) -> bool:
-        return self.cdf is not None or self.survival is not None
+        """Survival 1 - F(x); raises NoCdf for a quantile-only model."""
+        if self.survival is None:
+            raise NoCdf(f"model {self.name!r} has no survival function")
+        return self.survival(x)
 
 
 @dataclass(frozen=True)
@@ -91,9 +85,9 @@ class IteratedLogSpec:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError("iteration depth p must be >= 1")
+            raise DomainError("iteration depth p must be >= 1")
         if not 0.0 < self.m <= 1.0:
-            raise ValueError("tail mass m must lie in (0, 1]")
+            raise DomainError("tail mass m must lie in (0, 1]")
 
 
 def _check_u(u: float) -> None:
@@ -152,8 +146,8 @@ def mean_excess_R(model: TailModel, t: float) -> float:
     """Mean excess R(t) = E[X - t | X > t] by adaptive quadrature of the
     survival function on (t, A), truncated where the survival falls below
     1e-18 of its value at t."""
-    if not model.has_cdf():
-        raise NoCdf(f"model {model.name!r} has no CDF")
+    if model.survival is None:
+        raise NoCdf(f"model {model.name!r} has no survival function")
     if not model.mean_excess_finite:
         raise DomainError(f"mean excess diverges for model {model.name!r}")
     if not model.lower_endpoint < t < model.upper_endpoint:
@@ -168,16 +162,23 @@ def mean_excess_R(model: TailModel, t: float) -> float:
     return integral / st
 
 
+def _aux(model: TailModel) -> Callable[[float], float]:
+    """The auxiliary scale r: the cataloged aux_r, else rho_numeric."""
+    if model.aux_r is not None:
+        return model.aux_r
+    return lambda u: rho_numeric(model, u)
+
+
 def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     """Norming constants for a model at (n, k); k may be real-valued.
 
-    a_n comes from the cataloged aux_r when present, else from the numeric
+    a_n = r(k/n), with r the cataloged aux_r when present, else the numeric
     derivative; b_n from the quantile difference; lam is the finite-n scale
     ratio r(1/n) / r(k/n), or None when it cannot be evaluated.
     """
     if not 2 <= k < n:
         raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
-    r = model.aux_r if model.aux_r is not None else (lambda u: rho_numeric(model, u))
+    r = _aux(model)
     uk = k / n
     a_n = float(r(uk))
     if not a_n > 0.0:
@@ -185,7 +186,7 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     b_n = (float(model.quantile(1.0 / n)) - float(model.quantile(uk))) / a_n
     try:
         lam = float(r(1.0 / n)) / a_n
-    except (DomainError, OverflowError, ValueError):
+    except (OverflowError, ValueError):
         lam = None
     return NormingConstants(a_n=a_n, b_n=b_n, lam=lam, n=n, k=k)
 
@@ -196,7 +197,7 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
     from .estimators import select_k
 
     k = select_k(policy, n)
-    r = model.aux_r if model.aux_r is not None else (lambda u: rho_numeric(model, u))
+    r = _aux(model)
     return float(r(1.0 / n)) / float(r(k / n))
 
 
@@ -216,7 +217,7 @@ def transform_log(model: TailModel, a: float | None = None) -> TailModel:
     if a is None:
         if model.lower_endpoint >= 0.0:
             a = 1.0
-        elif model.has_cdf():
+        elif model.survival is not None:
             a = float(model.sf(0.0))
         else:
             raise NoCdf(f"supply a = P(X > 0) explicitly for {model.name!r}")
@@ -230,18 +231,14 @@ def transform_log(model: TailModel, a: float | None = None) -> TailModel:
         return np.log(base_q(a_val * np.asarray(u, dtype=float)))
 
     survival = None
-    cdf = None
-    if model.has_cdf():
+    if model.survival is not None:
         base_sf = model.sf
 
         def survival(x):  # noqa: F811 - deliberate rebind
             return np.asarray(base_sf(np.exp(np.asarray(x, dtype=float)))) / a_val
 
-        def cdf(x):  # noqa: F811
-            return 1.0 - survival(x)
-
     aux = None
-    if model.has_cdf() and model.mean_excess_finite:
+    if model.survival is not None and model.mean_excess_finite:
         def aux(u: float) -> float:  # noqa: F811
             q = float(base_q(u))
             return mean_excess_R(model, q) / q
@@ -250,7 +247,6 @@ def transform_log(model: TailModel, a: float | None = None) -> TailModel:
     return TailModel(
         name=f"log({model.name})",
         quantile=quantile,
-        cdf=cdf,
         survival=survival,
         aux_r=aux,
         aux_exact=False,
@@ -260,13 +256,10 @@ def transform_log(model: TailModel, a: float | None = None) -> TailModel:
 
 
 def _aux_vanishes(model: TailModel) -> bool:
-    probe = (1e-4, 1e-6, 1e-8)
+    r = _aux(model)
     try:
-        if model.aux_r is not None:
-            vals = [float(model.aux_r(u)) for u in probe]
-        else:
-            vals = [rho_numeric(model, u) for u in probe]
-    except (DomainError, OverflowError, ValueError):
+        vals = [float(r(u)) for u in (1e-4, 1e-6, 1e-8)]
+    except (OverflowError, ValueError):
         return True
     return vals[-1] < 0.9 * vals[0]
 
@@ -292,8 +285,7 @@ def transform_exp(model: TailModel) -> TailModel:
         return np.exp(base_q(np.asarray(u, dtype=float)))
 
     survival = None
-    cdf = None
-    if model.has_cdf():
+    if model.survival is not None:
         base_sf = model.sf
 
         def survival(x):  # noqa: F811
@@ -301,11 +293,8 @@ def transform_exp(model: TailModel) -> TailModel:
             with np.errstate(divide="ignore"):
                 return np.where(x > 0.0, np.asarray(base_sf(np.log(np.maximum(x, 1e-300)))), 1.0)
 
-        def cdf(x):  # noqa: F811
-            return 1.0 - survival(x)
-
     aux = None
-    if model.has_cdf() and model.mean_excess_finite:
+    if model.survival is not None and model.mean_excess_finite:
         def aux(u: float) -> float:  # noqa: F811
             q = float(base_q(u))
             return math.exp(q) * mean_excess_R(model, q)
@@ -314,7 +303,6 @@ def transform_exp(model: TailModel) -> TailModel:
     return TailModel(
         name=f"exp({model.name})",
         quantile=quantile,
-        cdf=cdf,
         survival=survival,
         aux_r=aux,
         aux_exact=False,
@@ -414,7 +402,6 @@ def iterated_log_model(spec: IteratedLogSpec) -> TailModel:
     return TailModel(
         name=f"iterlog({p})",
         quantile=quantile,
-        cdf=lambda x: 1.0 - survival(x),
         survival=survival,
         aux_r=aux,
         aux_exact=False,
@@ -433,7 +420,6 @@ def _exp_of_log_model() -> TailModel:
     return TailModel(
         name="exp-of-log",
         quantile=quantile,
-        cdf=lambda x: -np.expm1(-np.exp(np.asarray(x, dtype=float))),
         survival=lambda x: np.exp(-np.exp(np.asarray(x, dtype=float))),
         aux_r=lambda u: 1.0 / math.log(1.0 / u),
         aux_exact=True,
@@ -446,7 +432,6 @@ def _normal_model() -> TailModel:
     return TailModel(
         name="normal",
         quantile=normal_upper_quantile,
-        cdf=lambda x: 1.0 - normal_sf(x),
         survival=normal_sf,
         aux_r=lambda u: (2.0 * math.log(1.0 / u)) ** -0.5,
         aux_exact=False,
@@ -458,7 +443,6 @@ def _pareto_model() -> TailModel:
     return TailModel(
         name="pareto",
         quantile=lambda u: 1.0 / np.asarray(u, dtype=float),
-        cdf=lambda x: 1.0 - 1.0 / np.asarray(x, dtype=float),
         survival=lambda x: 1.0 / np.asarray(x, dtype=float),
         aux_r=lambda u: 1.0 / u,
         aux_exact=True,
@@ -476,7 +460,6 @@ def _exponential_model(name: str = "exponential") -> TailModel:
     return TailModel(
         name=name,
         quantile=quantile,
-        cdf=lambda x: -np.expm1(-np.asarray(x, dtype=float)),
         survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
         aux_r=lambda u: 1.0,
         aux_exact=True,
@@ -514,12 +497,15 @@ def model_names() -> list[str]:
 
 def get_model(name: str) -> TailModel:
     """Look up a catalog model by name; "iterlog(p)" takes an integer depth
-    with tail mass m = P(Z > e_{p-1}(1)) computed from the normal survival."""
+    with tail mass m = P(Z > e_{p-1}(1)) computed from the normal survival.
+    That mass underflows to zero from p = 4 on (e_3(1) ~ 3.8e6), so p <= 3."""
     if name.startswith("iterlog(") and name.endswith(")"):
         try:
             p = int(name[len("iterlog("):-1])
         except ValueError:
             raise DomainError(f"bad iterated-log depth in {name!r}") from None
+        if p > 3:
+            raise DomainError(f"iterated-log depth must be <= 3, got {p}")
         m = float(normal_sf(_iterated_exp(1.0, p - 1)))
         return iterated_log_model(IteratedLogSpec(p=p, m=m))
     try:

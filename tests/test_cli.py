@@ -1,11 +1,15 @@
 """Command-line interface: subcommand behavior, exit codes and the
 round-trip of the echoed configuration."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
 
@@ -99,17 +103,6 @@ def test_simulate_json_summary(capsys):
     assert 0.5 < doc["summary"]["mean_t"] < 2.0
 
 
-def test_simulate_workers_flag_is_transparent(capsys):
-    argv = ["simulate", "--model", "exp-of-log", "--n", "2000", "--reps", "12",
-            "--seed", "9", "--format", "csv"]
-    code1, out1, _ = run(capsys, argv + ["--workers", "1"])
-    code4, out4, _ = run(capsys, argv + ["--workers", "4"])
-    assert code1 == code4 == 0
-    rows1 = [line for line in out1.splitlines() if not line.startswith("#")]
-    rows4 = [line for line in out4.splitlines() if not line.startswith("#")]
-    assert rows1 == rows4
-
-
 def test_ks_command(capsys):
     code, out, _ = run(capsys, [
         "ks", "--model", "exp-of-log", "--n", "2000", "--k-policy", "logpow:2",
@@ -157,6 +150,57 @@ def test_domain_error_exit_code(capsys, grid_file):
     # k too deep for the file's thousand values
     code, _, err = run(capsys, ["estimate", "--k", "5000", grid_file])
     assert code == 2 and err
+
+
+NORMING = ["norming", "--model", "normal", "--n", "10000"]
+SIMULATE = ["simulate", "--model", "normal", "--n", "1000", "--reps", "2"]
+
+
+# "<x>" stands for a file of 200 valid values followed by the line x
+@pytest.mark.parametrize("argv", [
+    ["norming", "--model", "iterlog(0)", "--n", "10000"],
+    ["norming", "--model", "iterlog(-1)", "--n", "10000"],
+    ["norming", "--model", "iterlog(4)", "--n", "10000"],
+    ["norming", "--model", "iterlog(5)", "--n", "10000"],
+    NORMING + ["--k-policy", "logpow:nan"],
+    NORMING + ["--k-policy", "logpow:inf"],
+    NORMING + ["--k-policy", "logpow:1e400"],
+    NORMING + ["--k-policy", "logpow:1000"],
+    SIMULATE + ["--seed", "-1"],
+    SIMULATE + ["--stream", "-5"],
+    ["estimate", "<nan>"],
+    ["estimate", "<inf>"],
+    ["test", "<nan>"],
+    ["test", "<inf>"],
+])
+def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
+    for i, arg in enumerate(argv):
+        if arg.startswith("<"):
+            path = tmp_path / "sample.txt"
+            path.write_text("\n".join([str(v) for v in range(1, 201)] + [arg[1:-1]]))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
+    code, _, err = run(capsys, argv)
+    assert code in (1, 2)
+    assert "error" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ell=st.floats(allow_nan=True, allow_infinity=True),
+    depth=st.integers(),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    stream=st.integers(min_value=-(2**70), max_value=2**70),
+)
+def test_dispatch_exits_with_a_code_on_random_input(ell, depth, seed, stream):
+    argvs = [
+        NORMING + ["--k-policy", f"logpow:{ell!r}"],
+        ["norming", "--model", f"iterlog({depth})", "--n", "10000"],
+        ["simulate", "--model", "normal", "--n", "50", "--reps", "2",
+         "--seed", str(seed), "--stream", str(stream)],
+    ]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert dispatch(argv) in (0, 1, 2)
 
 
 def test_help_exits_zero(capsys):

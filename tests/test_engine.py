@@ -88,15 +88,6 @@ def test_run_replicates_deterministic():
     assert np.array_equal(a.normalized, b.normalized)
 
 
-def test_run_replicates_worker_count_irrelevant():
-    model = get_model("normal")
-    rng = RngSpec(seed=31, stream_id=4)
-    serial = run_replicates(model, 2000, KPolicy.sqrt(), 16, rng, workers=1)
-    threaded = run_replicates(model, 2000, KPolicy.sqrt(), 16, rng, workers=4)
-    assert np.array_equal(serial.raw_t, threaded.raw_t)
-    assert np.array_equal(serial.normalized, threaded.normalized)
-
-
 def test_run_replicates_matches_sorted_reference_path():
     # the partition shortcut must agree bit for bit with sorting the same
     # stream, transforming the whole sample and applying the estimators

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gumbeltail.errors import (
+    DomainError,
     FixedOutOfRange,
     KOutOfRange,
     NonPositiveValue,
@@ -68,6 +69,8 @@ def test_select_k_too_small_n():
         select_k(KPolicy.sqrt(), 3)
     with pytest.raises(TooSmallN):
         select_k(KPolicy.log_power(9.0), 5)
+    with pytest.raises(TooSmallN):  # log(n) ** ell overflows a float
+        select_k(KPolicy.log_power(1000.0), 10**4)
 
 
 def test_select_k_clamps_to_two():
@@ -272,6 +275,9 @@ def test_sorted_sample_validation():
         SortedSample(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         SortedSample(np.array([1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            SortedSample(np.array([1.0, bad]))
     s = SortedSample.from_values([3.0, 1.0, 2.0])
     assert list(s.values) == [1.0, 2.0, 3.0]
     assert s.n == 3
