@@ -11,9 +11,10 @@ strictly inside (0, 1).
 
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
-one, which a linear-time partition extracts. By monotonicity of the
-quantile this is exactly what sorting the uniforms and transforming them
-would produce (the test suite asserts bitwise equality with that slow
+one, which a linear-time partition extracts; the quantile is evaluated
+once per run, on the M top and the M (n-k)-th uniforms. Monotonicity of
+the quantile makes this exactly what sorting the uniforms and transforming
+them would produce (the test suite asserts bitwise equality with that slow
 reference path).
 """
 
@@ -112,11 +113,11 @@ def run_replicates(
 ) -> ReplicateSet:
     """M independent replicates of the max-spacing estimator on the model.
 
-    Each replicate draws its own uniform stream (stream_id + index),
-    transforms, and records t_n and the normalized statistic
-    (spacing - a_n b_n) / a_n. With log_scale=True the estimator runs on
-    log X, i.e. on the log-transformed model. Results are deterministic
-    for a fixed RngSpec and ordered by replicate index.
+    Replicate i draws its own uniform stream (stream_id + i); the quantile
+    is evaluated once, on the M top and M (n-k)-th uniforms, giving t_n and
+    the normalized statistic (spacing - a_n b_n) / a_n. With log_scale=True
+    the estimator runs on log X, i.e. on the log-transformed model. Results
+    are deterministic for a fixed RngSpec and ordered by replicate index.
     """
     if m < 1:
         raise DomainError(f"need at least one replicate, got m={m}")
@@ -124,21 +125,17 @@ def run_replicates(
     eff = transform_log(model) if log_scale else model
     nc = norming(eff, n, k)
     log_k = math.log(k)
-    anbn = nc.a_n * nc.b_n
-    quantile = eff.quantile
 
-    def one(index: int) -> tuple[float, float]:
+    # a function, so each n-sized draw is freed before the next is made
+    def order_stats(index: int) -> tuple[float, float]:
         u = _open_uniforms(rng.replicate(index).generator(), n)
-        part = np.partition(u, n - 1 - k)
-        u_top = part[n - 1 - k:].max()
-        u_k = part[n - 1 - k]
-        spacing = float(quantile(1.0 - u_top)) - float(quantile(1.0 - u_k))
-        return spacing / log_k, (spacing - anbn) / nc.a_n
+        u.partition(n - 1 - k)
+        return u[n - 1 - k:].max(), u[n - 1 - k]
 
-    results = [one(i) for i in range(m)]
-
-    raw_t = np.array([r[0] for r in results])
-    normalized = np.array([r[1] for r in results])
+    u_top, u_k = np.array([order_stats(i) for i in range(m)]).T
+    spacing = eff.quantile(1.0 - u_top) - eff.quantile(1.0 - u_k)
+    raw_t = spacing / log_k
+    normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n
     return ReplicateSet(
         model_name=eff.name, n=n, k=k, m=m, raw_t=raw_t, normalized=normalized, constants=nc
     )

@@ -44,7 +44,7 @@ class SortedSample:
         # the ordering check below is false for NaN, so finiteness comes first
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample values must be finite")
-        if np.any(np.diff(arr) < 0.0):
+        if np.any(arr[1:] < arr[:-1]):
             raise DomainError("sample values must be non-decreasing")
         object.__setattr__(self, "values", arr)
 
@@ -160,8 +160,10 @@ def de_haan_resnick(s: SortedSample, k: int) -> EstimateResult:
     n = s.n
     _check_k(k, n)
     log_k = math.log(k)
-    spacing = float(s.values[n - 1] - s.values[n - 1 - k])
-    return EstimateResult(t_n=spacing / log_k, k=k, log_k=log_k, n=n)
+    t_n = (float(s.values[n - 1]) - float(s.values[n - 1 - k])) / log_k
+    if not math.isfinite(t_n):
+        raise DomainError(f"T_n overflows a float at k={k}")
+    return EstimateResult(t_n=t_n, k=k, log_k=log_k, n=n)
 
 
 def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> EstimateResult:
@@ -180,7 +182,11 @@ def hill(s: SortedSample, k: int) -> float:
     n = s.n
     _check_k(k, n)
     base = s.values[n - 1 - k]
-    return float(np.mean(s.values[n - k:] - base))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(s.values[n - k:] - base))
+    if not math.isfinite(mean):
+        raise DomainError(f"H_n overflows a float at k={k}")
+    return mean
 
 
 def normalized_statistic(s: SortedSample, k: int, nc: "NormingConstants") -> float:

@@ -344,60 +344,55 @@ def _iterated_exp(x: float, p: int) -> float:
     return x
 
 
-def iterated_c_n(spec: IteratedLogSpec, n: int) -> float:
-    """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2});
-    the empty product (p = 1) is 1."""
-    if n < 16:
-        raise DomainError(f"need n >= 16, got {n}")
-    base = 2.0 * math.log(n)
+def _iterated_scale(base: float, p: int) -> float:
+    """base * prod_{h=1}^{p-1} log_h(base^{1/2}); the empty product (p = 1)
+    is 1. Raises DomainError when a factor is not positive."""
     out = base
     root = math.sqrt(base)
-    for h in range(1, spec.p):
+    for h in range(1, p):
         factor = _iterated_log(root, h)
         if factor <= 0.0:
             raise DomainError(
-                f"iterated-log factor log_{h}((2 log n)^(1/2)) = {factor} <= 0 at n={n}"
+                f"iterated-log factor log_{h}(({base:g})^(1/2)) = {factor} <= 0"
             )
         out *= factor
     return out
 
 
+def iterated_c_n(spec: IteratedLogSpec, n: int) -> float:
+    """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
+    if n < 16:
+        raise DomainError(f"need n >= 16, got {n}")
+    return _iterated_scale(2.0 * math.log(n), spec.p)
+
+
 def iterated_log_model(spec: IteratedLogSpec) -> TailModel:
     """Model of log_p sup(e_{p-1}(1), Z) given Z > e_{p-1}(1), for standard
-    normal Z; quantile u -> log_p Q_Z(1 - m u)."""
+    normal Z; quantile u -> log_p Q_Z(1 - m u).
+
+    The log and exp chains stay on math per element: np.log and np.exp
+    differ by an ulp on some inputs, which the chain would amplify.
+    """
     p, m = spec.p, spec.m
+    log_chain = np.vectorize(lambda z: _iterated_log(z, p), otypes=[float])
+    exp_chain = np.vectorize(lambda v: _iterated_exp(v, p), otypes=[float])
+    # e_p(v) > 40 exactly when v > log_p(40), and normal_sf(40) is 0.0
+    cut = _iterated_log(40.0, p)
 
     def quantile(u):
-        def one(v: float) -> float:
-            if v >= 1.0:
-                return 0.0
-            # support is [0, inf): a sub-ulp negative from the last log is a
-            # rounding artifact, flattened to the endpoint
-            return max(_iterated_log(float(normal_upper_quantile(m * v)), p), 0.0)
-
-        if np.ndim(u) == 0:
-            return one(float(u))
-        return np.array([one(float(v)) for v in np.asarray(u, dtype=float)])
+        u = np.asarray(u, dtype=float)
+        inner = log_chain(normal_upper_quantile(m * np.minimum(u, 1.0)))
+        # support is [0, inf): a sub-ulp negative from the last log is a
+        # rounding artifact, flattened to the endpoint
+        return np.where(u >= 1.0, 0.0, np.maximum(inner, 0.0))
 
     def survival(x):
-        def one(v: float) -> float:
-            if v <= 0.0:
-                return 1.0
-            inner = _iterated_exp(v, p)
-            if inner > 40.0:
-                return 0.0
-            return float(normal_sf(inner)) / m
-
-        if np.ndim(x) == 0:
-            return one(float(x))
-        return np.array([one(float(v)) for v in np.asarray(x, dtype=float)])
+        v = np.asarray(x, dtype=float)
+        inner = normal_sf(exp_chain(np.minimum(v, cut))) / m
+        return np.where(v <= 0.0, 1.0, np.where(v > cut, 0.0, inner))
 
     def aux(u: float) -> float:
-        val = 2.0 * math.log(1.0 / u)
-        root = math.sqrt(val)
-        for h in range(1, p):
-            val *= _iterated_log(root, h)
-        return 1.0 / val
+        return 1.0 / _iterated_scale(2.0 * math.log(1.0 / u), p)
 
     return TailModel(
         name=f"iterlog({p})",

@@ -5,10 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
@@ -201,6 +203,45 @@ def test_dispatch_exits_with_a_code_on_random_input(ell, depth, seed, stream):
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert dispatch(argv) in (0, 1, 2)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in JSON output")
+
+
+EDGE_VALUES = [1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0]
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES))
+POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                     st.sampled_from([v for v in EDGE_VALUES if v > 0.0]))
+# positive files of 100+ lines reach the end of `test`; the rest exercise
+# the rejections
+VALUE_LINES = st.one_of(
+    st.lists(FINITE, max_size=300),
+    st.lists(POSITIVE, min_size=100, max_size=300),
+).map(lambda xs: [repr(x) for x in xs])
+BAD_LINES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "", "   ", "1e400", "abc", "1,5"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=VALUE_LINES, extra=st.lists(BAD_LINES, max_size=2))
+@example(values=["1.7e308"] * 3 + ["-1.7e308"] * 200, extra=[])
+def test_file_commands_exit_with_a_code_on_random_content(values, extra):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(values + extra))
+        for command in ("estimate", "test"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = dispatch([command, "--format", "json", path])
+            assert code in (0, 1, 2)
+            if code == 0:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+    finally:
+        os.remove(path)
 
 
 def test_help_exits_zero(capsys):

@@ -20,7 +20,7 @@ from gumbeltail.engine import (
 )
 from gumbeltail.errors import DomainError
 from gumbeltail.estimators import KPolicy, de_haan_resnick, normalized_statistic, select_k
-from gumbeltail.models import get_model, norming
+from gumbeltail.models import get_model, norming, transform_log
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -100,6 +100,26 @@ def test_run_replicates_matches_sorted_reference_path():
     for i in range(m):
         u = sorted_uniforms(n, rng.replicate(i))
         sample = inverse_transform(model, u)
+        assert de_haan_resnick(sample, k).t_n == rs.raw_t[i]
+        assert normalized_statistic(sample, k, nc) == rs.normalized[i]
+
+
+@pytest.mark.parametrize("name,log_scale", [
+    ("normal", False), ("iterlog(2)", False), ("mason", False), ("pareto", False),
+    ("normal", True),
+])
+def test_run_replicates_batched_quantile_matches_reference(name, log_scale):
+    # the quantile is evaluated once per run on arrays of length M; each
+    # entry must still equal the per-replicate sort-then-transform value
+    base = get_model(name)
+    model = transform_log(base) if log_scale else base
+    n, m = 500, 8
+    rng = RngSpec(seed=31, stream_id=2)
+    k = select_k(KPolicy.sqrt(), n)
+    rs = run_replicates(base, n, KPolicy.sqrt(), m, rng, log_scale=log_scale)
+    nc = norming(model, n, k)
+    for i in range(m):
+        sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
         assert de_haan_resnick(sample, k).t_n == rs.raw_t[i]
         assert normalized_statistic(sample, k, nc) == rs.normalized[i]
 

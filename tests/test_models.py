@@ -21,6 +21,8 @@ from gumbeltail.estimators import KPolicy
 from gumbeltail.models import (
     IteratedLogSpec,
     TailModel,
+    _iterated_exp,
+    _iterated_log,
     get_model,
     iterated_c_n,
     lambda_ratio,
@@ -388,6 +390,53 @@ def test_iterlog_quantile_nonnegative_near_endpoint():
         model = get_model(f"iterlog({p})")
         for v in np.concatenate([1.0 - np.geomspace(1e-16, 1e-6, 25), [1.0]]):
             assert float(model.quantile(float(v))) >= 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_iterlog_quantile_bit_pin(p):
+    # the array quantile must equal the scalar math.log chain bit for bit;
+    # an np.log chain differs by an ulp on some inputs and fails this
+    m = float(normal_sf(_iterated_exp(1.0, p - 1)))
+    v = np.geomspace(1e-15, 1.0, 10_002)[1:-1]
+    expected = [max(_iterated_log(float(normal_upper_quantile(m * x)), p), 0.0) for x in v]
+    assert np.array_equal(get_model(f"iterlog({p})").quantile(v), expected)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_iterlog_survival_bit_pin(p):
+    # the survival feeds the log-scale quadrature aux, so it must equal the
+    # scalar math.exp chain bit for bit below the cut-off too
+    model = get_model(f"iterlog({p})")
+    m = float(normal_sf(_iterated_exp(1.0, p - 1)))
+    v = np.linspace(0.0, _iterated_log(40.0, p), 2_001)[1:-1]
+    expected = [float(normal_sf(_iterated_exp(float(x), p))) / m for x in v]
+    assert np.array_equal(model.sf(v), expected)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_iterlog_survival_is_a_probability_everywhere(p):
+    model = get_model(f"iterlog({p})")
+    assert 0.0 <= float(model.sf(10.0)) <= 1.0
+    assert float(model.sf(1e300)) == 0.0
+    got = np.asarray(model.sf(np.array([-1.0, 0.0, 0.3, 10.0, 1e300])))
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert got[0] == 1.0 and got[1] == 1.0 and got[4] == 0.0
+    # past the cut-off e_p(v) > 40 the normal tail is 0.0
+    assert float(model.sf(_iterated_log(40.0, p) * (1.0 + 1e-12))) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_iterlog_aux_inverts_iterated_c_n(p):
+    spec = IteratedLogSpec(p=p, m=0.5)
+    aux = get_model(f"iterlog({p})").aux_r
+    for n in (10**4, 10**6, 10**9):
+        assert aux(1.0 / n) * iterated_c_n(spec, n) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_iterlog_aux_names_the_non_positive_factor():
+    # 2 log(1/u) < e^2 makes log_2 of the root negative for p = 3
+    with pytest.raises(DomainError, match="factor"):
+        get_model("iterlog(3)").aux_r(0.1)
 
 
 def test_get_model_unknown_name():
