@@ -11,11 +11,11 @@ strictly inside (0, 1).
 
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
-one, which a linear-time partition extracts; the quantile is evaluated
-once per run, on the M top and the M (n-k)-th uniforms. Monotonicity of
-the quantile makes this exactly what sorting the uniforms and transforming
-them would produce (the test suite asserts bitwise equality with that slow
-reference path).
+one, which a linear-time partition of the raw integer draws extracts; the
+two are mapped into (0, 1) and the quantile is evaluated once per run, on
+the M top and the M (n-k)-th uniforms. Both maps are monotone, so this is
+exactly what sorting the uniforms and transforming them would produce (the
+test suite asserts bitwise equality with that slow reference path).
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class KsReport:
     scale_lambda: float
 
 
-def _open_uniforms(gen: np.random.Generator, n: int) -> np.ndarray:
-    return (gen.integers(0, 1 << 53, size=n) + 0.5) * 2.0 ** -53
+def _open_uniforms(j: np.ndarray) -> np.ndarray:
+    return (j + 0.5) * 2.0 ** -53
 
 
 def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:
@@ -88,7 +88,7 @@ def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:
     per RngSpec."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    u = _open_uniforms(rng.generator(), n)
+    u = _open_uniforms(rng.generator().integers(0, 1 << 53, size=n))
     u.sort()
     return u
 
@@ -126,13 +126,13 @@ def run_replicates(
     nc = norming(eff, n, k)
     log_k = math.log(k)
 
-    # a function, so each n-sized draw is freed before the next is made
-    def order_stats(index: int) -> tuple[float, float]:
-        u = _open_uniforms(rng.replicate(index).generator(), n)
-        u.partition(n - 1 - k)
-        return u[n - 1 - k:].max(), u[n - 1 - k]
+    # a function, so each n-sized draw is freed, and its memory reused, before the next
+    def order_stats(index: int) -> tuple[int, int]:
+        j = rng.replicate(index).generator().integers(0, 1 << 53, size=n)
+        j.partition(n - 1 - k)
+        return j[n - 1 - k:].max(), j[n - 1 - k]
 
-    u_top, u_k = np.array([order_stats(i) for i in range(m)]).T
+    u_top, u_k = _open_uniforms(np.array([order_stats(i) for i in range(m)])).T
     spacing = eff.quantile(1.0 - u_top) - eff.quantile(1.0 - u_k)
     raw_t = spacing / log_k
     normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n
