@@ -9,6 +9,7 @@ reproduced from its own header. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -50,7 +51,7 @@ class RunConfig:
     threshold: float | None = None
 
     def to_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def _resolve_policy(args) -> KPolicy:
@@ -95,8 +96,11 @@ def _emit(config: RunConfig, payload: dict, out_text: str | None = None) -> None
         header = f"# config: {json.dumps(config.to_dict())}"
         text = header if out_text is None else f"{header}\n{out_text}"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {config.out}: {exc}") from None
     else:
         print(text)
 
@@ -119,7 +123,14 @@ def _add_common(sub, model=False, n=False, k=False, reps=False, seed=False, fmt=
         sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it.
+
+    Reuse is safe: parse_args creates a fresh Namespace on every call and
+    never mutates the parser, and the help text depends only on the static
+    model catalog. Callers get the shared parser and must not mutate it.
+    """
     parser = _Parser(prog="gumbeltail", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -201,8 +212,11 @@ def _cmd_simulate(args) -> None:
     if args.format == "csv":
         header = f"config: {json.dumps(config.to_dict())}"
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                engine.write_replicates_csv(rs, fh, header_comment=header)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    engine.write_replicates_csv(rs, fh, header_comment=header)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.out}: {exc}") from None
         else:
             engine.write_replicates_csv(rs, sys.stdout, header_comment=header)
         return

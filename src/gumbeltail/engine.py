@@ -151,8 +151,11 @@ def gumbel_cdf(x, lambda_scale: float):
 def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> KsReport:
     """One-sample KS distance of values against the lambda-scaled Gumbel.
 
-    The default threshold is the asymptotic 5% critical value 1.36/sqrt(M).
+    The default threshold is the asymptotic 5% critical value 1.36/sqrt(M);
+    a given threshold must be finite and positive.
     """
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
+        raise DomainError(f"KS threshold must be finite and > 0, got {threshold}")
     v = np.sort(np.asarray(values, dtype=float))
     m = v.size
     if m == 0:

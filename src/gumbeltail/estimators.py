@@ -203,5 +203,8 @@ def normalized_statistic(s: SortedSample, k: int, nc: "NormingConstants") -> flo
         )
     if nc.a_n <= 0.0:
         raise ZeroScale(f"a_n must be positive, got {nc.a_n}")
-    spacing = float(s.values[n - 1] - s.values[n - 1 - k])
-    return (spacing - nc.a_n * nc.b_n) / nc.a_n
+    spacing = float(s.values[n - 1]) - float(s.values[n - 1 - k])
+    z = (spacing - nc.a_n * nc.b_n) / nc.a_n
+    if not math.isfinite(z):
+        raise DomainError(f"normalized statistic overflows a float at k={k}")
+    return z

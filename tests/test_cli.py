@@ -7,13 +7,14 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
+from gumbeltail.cli import DEFAULT_SEED, RunConfig, build_parser, dispatch
 
 GRID_T = 1.0092454329104992
 GRID_H = 0.9466319172089102
@@ -261,3 +262,61 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for name in ("estimate", "norming", "simulate", "ks", "table", "test"):
         assert name in text
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    code, _, _ = run(capsys, [
+        "ks", "--model", "pareto", "--log-scale", "--n", "1000", "--reps", "20",
+        "--seed", "9", "--threshold", "0.5", "--out", str(tmp_path / "ks.json"),
+        "--format", "json",
+    ])
+    assert code == 0
+    assert run(capsys, ["simulate", "--bogus"])[0] == 1
+    assert run(capsys, ["--help"])[0] == 0
+    for argv in (["ks", "--model", "exp-of-log", "--n", "1000"],
+                 ["simulate", "--model", "normal", "--n", "1000"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        config = json.loads(out.splitlines()[0].split("config:", 1)[1])
+        assert config["reps"] == 200
+        assert config["seed"] == DEFAULT_SEED == 42
+        assert config["log_scale"] is False
+        assert "threshold" not in config and "out" not in config
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(command="ks", model="normal", n=1000, k_policy="sqrt", reps=20, seed=3,
+              stream=1, log_scale=True, format="json", out="x.json", path="p.txt",
+              n_total=4000, threshold=0.25),
+    RunConfig(command="estimate", path="p.txt", k_policy="fixed:31"),
+])
+def test_config_echo_matches_asdict(config):
+    expected = {key: value for key, value in asdict(config).items() if value is not None}
+    assert list(config.to_dict().items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "normal", "--n", "1000", "--reps", "3", "--format", "csv"],
+    ["norming", "--model", "normal", "--n", "10000"],
+    ["table", "--n-total", "200"],
+], ids=["simulate-csv", "norming", "table"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    code, _, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 1
+    assert "error" in err and "cannot write" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])
+def test_ks_rejects_bad_threshold(capsys, threshold):
+    code, out, err = run(capsys, [
+        "ks", "--model", "exp-of-log", "--n", "1000", "--reps", "20",
+        f"--threshold={threshold}", "--format", "json",
+    ])
+    assert code == 2
+    assert "error" in err and not out

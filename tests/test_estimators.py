@@ -24,7 +24,7 @@ from gumbeltail.estimators import (
     normalized_statistic,
     select_k,
 )
-from gumbeltail.models import NormingConstants
+from gumbeltail.models import NormingConstants, get_model, norming
 
 # Deterministic log-Pareto grid: values log((n+1)/i), i = 1..n. The top
 # spacing at (n=1000, k=31) telescopes to log 32, so T = log 32 / log 31
@@ -281,3 +281,11 @@ def test_sorted_sample_validation():
     s = SortedSample.from_values([3.0, 1.0, 2.0])
     assert list(s.values) == [1.0, 2.0, 3.0]
     assert s.n == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalized_statistic_overflow():
+    values = np.array([-1.7e308] * 200 + [1.7e308] * 3)
+    nc = norming(get_model("exponential"), 203, 14)
+    with pytest.raises(DomainError):
+        normalized_statistic(SortedSample(values), 14, nc)
