@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import engine
 from .errors import DomainError, GumbelTailError
@@ -54,6 +55,14 @@ class RunConfig:
         return {key: value for key, value in vars(self).items() if value is not None}
 
 
+def _config(args, policy: KPolicy | None = None) -> RunConfig:
+    """The echo of a parsed command: every RunConfig field the command has,
+    with the k-policy in its normalized spec form."""
+    echo = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    echo["k_policy"] = None if policy is None else policy.spec()
+    return RunConfig(**echo)
+
+
 def _resolve_policy(args) -> KPolicy:
     if args.k is not None and args.k_policy is not None:
         raise _UsageError("give either --k or --k-policy, not both")
@@ -89,20 +98,25 @@ def _read_sample(path: str) -> SortedSample:
 
 
 def _emit(config: RunConfig, payload: dict, out_text: str | None = None) -> None:
+    """Write the output of a run to --out or stdout.
+
+    json is the config and payload; text and csv are a "# config:" line and
+    out_text. csv rows keep their CRLF endings and get no further newline."""
     if config.format == "json":
         doc = {"schema": 1, "config": config.to_dict(), **payload}
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        header = f"# config: {json.dumps(config.to_dict())}"
-        text = header if out_text is None else f"{header}\n{out_text}"
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {config.out}: {exc}") from None
-    else:
-        print(text)
+        text = f"# config: {json.dumps(config.to_dict())}\n"
+        if out_text is not None:
+            text += out_text if config.format == "csv" else out_text + "\n"
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {config.out}: {exc}") from None
 
 
 def _add_common(sub, model=False, n=False, k=False, reps=False, seed=False, fmt=None):
@@ -165,12 +179,10 @@ def _cmd_estimate(args) -> None:
     policy = _resolve_policy(args)
     sample = _read_sample(args.path)
     k = select_k(policy, sample.n)
-    result = de_haan_resnick(sample, k)
+    t_n = de_haan_resnick(sample, k)
     h = hill(sample, k)
-    config = RunConfig(command="estimate", path=args.path, k_policy=policy.spec(),
-                       format=args.format, out=args.out)
-    _emit(config, {"n": sample.n, "k": k, "t_n": result.t_n, "h_n": h},
-          out_text=f"n {sample.n}\nk {k}\nT_n {result.t_n:.12g}\nH_n {h:.12g}")
+    _emit(_config(args, policy), {"n": sample.n, "k": k, "t_n": t_n, "h_n": h},
+          out_text=f"n {sample.n}\nk {k}\nT_n {t_n:.12g}\nH_n {h:.12g}")
 
 
 def _cmd_norming(args) -> None:
@@ -185,66 +197,44 @@ def _cmd_norming(args) -> None:
             probe[str(n_probe)] = lambda_ratio(model, policy, n_probe)
         except GumbelTailError:
             probe[str(n_probe)] = None
-    config = RunConfig(command="norming", model=args.model, n=args.n,
-                       k_policy=policy.spec(), format=args.format, out=args.out)
     lam_text = "unknown" if nc.lam is None else f"{nc.lam:.12g}"
     probe_text = " ".join(f"{key}:{value:.6g}" for key, value in probe.items() if value is not None)
-    _emit(config, {"n": args.n, "k": k, "a_n": nc.a_n, "b_n": nc.b_n,
-                   "lambda": nc.lam, "lambda_probe": probe},
+    _emit(_config(args, policy), {"n": args.n, "k": k, "a_n": nc.a_n, "b_n": nc.b_n,
+                                  "lambda": nc.lam, "lambda_probe": probe},
           out_text=f"k {k}\na_n {nc.a_n:.12g}\nb_n {nc.b_n:.12g}\nlambda {lam_text}\n"
                    f"lambda_probe {probe_text}")
 
 
-def _replicates_from_args(args) -> tuple[KPolicy, engine.ReplicateSet]:
+def _cmd_replicates(args) -> None:
+    """simulate and ks: M seeded replicates, then a summary (with the KS
+    verdict for ks) or, for simulate --format csv, one row per replicate."""
     model = _get_model_checked(args.model)
     policy = _resolve_policy(args)
     rng = engine.RngSpec(seed=args.seed, stream_id=args.stream)
+    ks = args.command == "ks"
+    if ks:
+        engine.check_ks_threshold(args.threshold)
     rs = engine.run_replicates(model, args.n, policy, args.reps, rng, log_scale=args.log_scale)
-    return policy, rs
-
-
-def _cmd_simulate(args) -> None:
-    policy, rs = _replicates_from_args(args)
-    config = RunConfig(command="simulate", model=args.model, n=args.n,
-                       k_policy=policy.spec(), reps=args.reps, seed=args.seed,
-                       stream=args.stream, log_scale=args.log_scale,
-                       format=args.format, out=args.out)
+    report = None
+    if ks:
+        lam = rs.constants.lam
+        if lam is None or lam <= 0.0:
+            raise GumbelTailError(f"finite-n lambda unavailable for model {args.model!r}")
+        report = engine.ks_distance(rs.normalized, lam, threshold=args.threshold)
     if args.format == "csv":
-        header = f"config: {json.dumps(config.to_dict())}"
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    engine.write_replicates_csv(rs, fh, header_comment=header)
-            except OSError as exc:
-                raise _UsageError(f"cannot write {args.out}: {exc}") from None
-        else:
-            engine.write_replicates_csv(rs, sys.stdout, header_comment=header)
+        rows = io.StringIO()
+        engine.write_replicates_csv(rs, rows)
+        _emit(_config(args, policy), {}, out_text=rows.getvalue())
         return
-    summary = engine.summarize(rs)
-    _emit(config, {"summary": summary},
-          out_text="\n".join(f"{key} {value}" for key, value in summary.items()))
-
-
-def _cmd_ks(args) -> None:
-    policy, rs = _replicates_from_args(args)
-    lam = rs.constants.lam
-    if lam is None or lam <= 0.0:
-        raise GumbelTailError(f"finite-n lambda unavailable for model {args.model!r}")
-    report = engine.ks_distance(rs.normalized, lam, threshold=args.threshold)
-    config = RunConfig(command="ks", model=args.model, n=args.n,
-                       k_policy=policy.spec(), reps=args.reps, seed=args.seed,
-                       stream=args.stream, log_scale=args.log_scale,
-                       threshold=args.threshold, format=args.format, out=args.out)
     summary = engine.summarize(rs, report)
-    _emit(config, {"summary": summary},
+    _emit(_config(args, policy), {"summary": summary},
           out_text="\n".join(f"{key} {value}" for key, value in summary.items()))
 
 
 def _cmd_table(args) -> None:
     rng = engine.RngSpec(seed=args.seed, stream_id=args.stream)
     rows = engine.reproduce_table(rng, n_total=args.n_total)
-    config = RunConfig(command="table", seed=args.seed, stream=args.stream,
-                       n_total=args.n_total, format=args.format, out=args.out)
+    config = _config(args)
     if args.format == "json":
         _emit(config, {"rows": [asdict(row) for row in rows]})
         return
@@ -261,17 +251,15 @@ def _cmd_test(args) -> None:
     policy = _resolve_policy(args)
     sample = _read_sample(args.path)
     verdict = classify(sample, policy)
-    config = RunConfig(command="test", path=args.path, k_policy=policy.spec(),
-                       format=args.format, out=args.out)
-    _emit(config, {"verdict": verdict.to_dict()},
+    _emit(_config(args, policy), {"verdict": verdict.to_dict()},
           out_text="\n".join(f"{key} {value}" for key, value in verdict.to_dict().items()))
 
 
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "norming": _cmd_norming,
-    "simulate": _cmd_simulate,
-    "ks": _cmd_ks,
+    "simulate": _cmd_replicates,
+    "ks": _cmd_replicates,
     "table": _cmd_table,
     "test": _cmd_test,
 }

@@ -79,6 +79,15 @@ class KsReport:
     scale_lambda: float
 
 
+def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
+    """The stream's first n raw 53-bit integers."""
+    generator = rng.generator()
+    try:
+        return generator.integers(0, 1 << 53, size=n)
+    except ValueError:  # numpy refuses the size before allocating
+        raise DomainError(f"n={n} is beyond the largest array numpy can allocate") from None
+
+
 def _open_uniforms(j: np.ndarray) -> np.ndarray:
     return (j + 0.5) * 2.0 ** -53
 
@@ -88,7 +97,7 @@ def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:
     per RngSpec."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    u = _open_uniforms(rng.generator().integers(0, 1 << 53, size=n))
+    u = _open_uniforms(_raw_draw(n, rng))
     u.sort()
     return u
 
@@ -128,7 +137,7 @@ def run_replicates(
 
     # a function, so each n-sized draw is freed, and its memory reused, before the next
     def order_stats(index: int) -> tuple[int, int]:
-        j = rng.replicate(index).generator().integers(0, 1 << 53, size=n)
+        j = _raw_draw(n, rng.replicate(index))
         j.partition(n - 1 - k)
         return j[n - 1 - k:].max(), j[n - 1 - k]
 
@@ -148,14 +157,20 @@ def gumbel_cdf(x, lambda_scale: float):
     return np.exp(-np.exp(-np.asarray(x, dtype=float) / lambda_scale))
 
 
+def check_ks_threshold(threshold: float | None) -> None:
+    """A given KS pass threshold must be finite and positive; None means
+    the default."""
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
+        raise DomainError(f"KS threshold must be finite and > 0, got {threshold}")
+
+
 def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> KsReport:
     """One-sample KS distance of values against the lambda-scaled Gumbel.
 
     The default threshold is the asymptotic 5% critical value 1.36/sqrt(M);
-    a given threshold must be finite and positive.
+    a given threshold must pass check_ks_threshold.
     """
-    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
-        raise DomainError(f"KS threshold must be finite and > 0, got {threshold}")
+    check_ks_threshold(threshold)
     v = np.sort(np.asarray(values, dtype=float))
     m = v.size
     if m == 0:
@@ -229,10 +244,8 @@ def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
 # emission
 
 
-def write_replicates_csv(rs: ReplicateSet, fh, header_comment: str | None = None) -> None:
+def write_replicates_csv(rs: ReplicateSet, fh) -> None:
     """One row per replicate: index, t_n, normalized."""
-    if header_comment is not None:
-        fh.write(f"# {header_comment}\n")
     writer = csv.writer(fh)
     writer.writerow(["replicate", "t_n", "normalized"])
     for i in range(rs.m):

@@ -110,16 +110,6 @@ class KPolicy:
         return f"fixed:{self.k}"
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """A max-spacing estimate together with the k it was computed at."""
-
-    t_n: float
-    k: int
-    log_k: float
-    n: int
-
-
 def select_k(policy: KPolicy, n: int) -> int:
     """Evaluate a k-policy at sample size n.
 
@@ -155,18 +145,17 @@ def _check_k(k: int, n: int) -> None:
         raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
 
 
-def de_haan_resnick(s: SortedSample, k: int) -> EstimateResult:
+def de_haan_resnick(s: SortedSample, k: int) -> float:
     """Max-spacing estimator T_n = (X_{n,n} - X_{n-k,n}) / log k."""
     n = s.n
     _check_k(k, n)
-    log_k = math.log(k)
-    t_n = (float(s.values[n - 1]) - float(s.values[n - 1 - k])) / log_k
+    t_n = (float(s.values[n - 1]) - float(s.values[n - 1 - k])) / math.log(k)
     if not math.isfinite(t_n):
         raise DomainError(f"T_n overflows a float at k={k}")
-    return EstimateResult(t_n=t_n, k=k, log_k=log_k, n=n)
+    return t_n
 
 
-def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> EstimateResult:
+def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> float:
     """T_n applied to the element-wise log of a positive sample.
 
     Monotonicity of log keeps the order statistics aligned, so this equals

@@ -76,20 +76,6 @@ class NormingConstants:
     k: float
 
 
-@dataclass(frozen=True)
-class IteratedLogSpec:
-    """Depth p and tail-mass renormalizer m of the iterated-log model."""
-
-    p: int
-    m: float
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise DomainError("iteration depth p must be >= 1")
-        if not 0.0 < self.m <= 1.0:
-            raise DomainError("tail mass m must lie in (0, 1]")
-
-
 def _check_u(u: float) -> None:
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
@@ -205,37 +191,36 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
 # transforms
 
 
-def transform_log(model: TailModel, a: float | None = None) -> TailModel:
+def transform_log(model: TailModel) -> TailModel:
     """Model of log X (positive part), per-tail renormalized by a = P(X > 0).
 
-    Quantile becomes u -> log Q(1 - a u); the auxiliary scale becomes
-    s(u) = R(Q(1 - u)) / Q(1 - u), evaluated numerically when the base model
-    can integrate its tail, dropped otherwise.
+    a is 1 when the support starts at or above zero and the survival at
+    zero otherwise. Quantile becomes u -> log Q(1 - a u); the auxiliary
+    scale becomes s(u) = R(Q(1 - u)) / Q(1 - u), evaluated numerically when
+    the base model can integrate its tail, dropped otherwise.
     """
     if not model.upper_endpoint > 0.0:
         raise NonPositiveEndpoint(f"model {model.name!r} has upper endpoint <= 0")
-    if a is None:
-        if model.lower_endpoint >= 0.0:
-            a = 1.0
-        elif model.survival is not None:
-            a = float(model.sf(0.0))
-        else:
-            raise NoCdf(f"supply a = P(X > 0) explicitly for {model.name!r}")
+    if model.lower_endpoint >= 0.0:
+        a = 1.0
+    elif model.survival is not None:
+        a = float(model.sf(0.0))
+    else:
+        raise NoCdf(f"P(X > 0) is unknown for quantile-only model {model.name!r}")
     if not 0.0 < a <= 1.0:
         raise DomainError(f"a = P(X > 0) must lie in (0, 1], got {a}")
 
     base_q = model.quantile
-    a_val = float(a)
 
     def quantile(u):
-        return np.log(base_q(a_val * np.asarray(u, dtype=float)))
+        return np.log(base_q(a * np.asarray(u, dtype=float)))
 
     survival = None
     if model.survival is not None:
         base_sf = model.sf
 
         def survival(x):  # noqa: F811 - deliberate rebind
-            return np.asarray(base_sf(np.exp(np.asarray(x, dtype=float)))) / a_val
+            return np.asarray(base_sf(np.exp(np.asarray(x, dtype=float)))) / a
 
     aux = None
     if model.survival is not None and model.mean_excess_finite:
@@ -359,21 +344,31 @@ def _iterated_scale(base: float, p: int) -> float:
     return out
 
 
-def iterated_c_n(spec: IteratedLogSpec, n: int) -> float:
+def _check_depth(p: int) -> None:
+    # the tail mass P(Z > e_{p-1}(1)) underflows to zero from p = 4 on
+    # (e_3(1) ~ 3.8e6)
+    if not 1 <= p <= 3:
+        raise DomainError(f"iterated-log depth must be 1, 2 or 3, got {p}")
+
+
+def iterated_c_n(p: int, n: int) -> float:
     """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
+    _check_depth(p)
     if n < 16:
         raise DomainError(f"need n >= 16, got {n}")
-    return _iterated_scale(2.0 * math.log(n), spec.p)
+    return _iterated_scale(2.0 * math.log(n), p)
 
 
-def iterated_log_model(spec: IteratedLogSpec) -> TailModel:
+def iterated_log_model(p: int) -> TailModel:
     """Model of log_p sup(e_{p-1}(1), Z) given Z > e_{p-1}(1), for standard
-    normal Z; quantile u -> log_p Q_Z(1 - m u).
+    normal Z; quantile u -> log_p Q_Z(1 - m u) with tail mass
+    m = P(Z > e_{p-1}(1)), for depth 1 <= p <= 3.
 
     The log and exp chains stay on math per element: np.log and np.exp
     differ by an ulp on some inputs, which the chain would amplify.
     """
-    p, m = spec.p, spec.m
+    _check_depth(p)
+    m = float(normal_sf(_iterated_exp(1.0, p - 1)))
     log_chain = np.vectorize(lambda z: _iterated_log(z, p), otypes=[float])
     exp_chain = np.vectorize(lambda v: _iterated_exp(v, p), otypes=[float])
     # e_p(v) > 40 exactly when v > log_p(40), and normal_sf(40) is 0.0
@@ -492,17 +487,13 @@ def model_names() -> list[str]:
 
 def get_model(name: str) -> TailModel:
     """Look up a catalog model by name; "iterlog(p)" takes an integer depth
-    with tail mass m = P(Z > e_{p-1}(1)) computed from the normal survival.
-    That mass underflows to zero from p = 4 on (e_3(1) ~ 3.8e6), so p <= 3."""
+    p, see iterated_log_model."""
     if name.startswith("iterlog(") and name.endswith(")"):
         try:
             p = int(name[len("iterlog("):-1])
         except ValueError:
             raise DomainError(f"bad iterated-log depth in {name!r}") from None
-        if p > 3:
-            raise DomainError(f"iterated-log depth must be <= 3, got {p}")
-        m = float(normal_sf(_iterated_exp(1.0, p - 1)))
-        return iterated_log_model(IteratedLogSpec(p=p, m=m))
+        return iterated_log_model(p)
     try:
         return _FACTORIES[name]()
     except KeyError:

@@ -64,7 +64,7 @@ def classify(sample: SortedSample, policy: KPolicy) -> ModelVerdict:
     if sample.values[0] <= 0.0:
         raise NonPositiveValue("model test requires all values > 0")
     k = select_k(policy, n)
-    t = de_haan_resnick_log_scale(sample, k).t_n
+    t = de_haan_resnick_log_scale(sample, k)
 
     log_n = math.log(n)
     log_nk = math.log(n / k)

@@ -130,7 +130,7 @@ def test_criterion_5_mason_counterexample():
 def test_criterion_6_deterministic_oracles():
     n, k = 1000, 31
     grid = SortedSample.from_values(np.log((n + 1) / np.arange(1, n + 1)))
-    t = de_haan_resnick(grid, k).t_n
+    t = de_haan_resnick(grid, k)
     h = hill(grid, k)
     ok = abs(t - GRID_T) <= 1e-9 and abs(h - GRID_H) <= 1e-6
     report(6, "deterministic oracles", ok,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gumbeltail import engine
 from gumbeltail.cli import DEFAULT_SEED, RunConfig, build_parser, dispatch
 
 GRID_T = 1.0092454329104992
@@ -320,3 +321,95 @@ def test_ks_rejects_bad_threshold(capsys, threshold):
     ])
     assert code == 2
     assert "error" in err and not out
+
+
+@pytest.fixture
+def exp_file(tmp_path):
+    u = np.arange(1, 401) / 401.0
+    path = tmp_path / "exp.txt"
+    path.write_text("\n".join(repr(float(v)) for v in -np.log(1.0 - u)), encoding="utf-8")
+    return str(path)
+
+
+def _echo(out: str, fmt: str) -> dict:
+    if fmt == "json":
+        return json.loads(out)["config"]
+    first = out.splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+# the exact echoed config, key order included; "<grid>" and "<exp>" stand
+# for the input paths
+GOLDEN_ECHOES = [
+    (["estimate", "--k", "31", "<grid>"],
+     {"command": "estimate", "k_policy": "fixed:31", "log_scale": False, "format": "text",
+      "path": "<grid>"}),
+    (["test", "--k-policy", "logpow:2.0", "--format", "json", "<exp>"],
+     {"command": "test", "k_policy": "logpow:2", "log_scale": False, "format": "json",
+      "path": "<exp>"}),
+    (["norming", "--model", "normal", "--n", "10000"],
+     {"command": "norming", "model": "normal", "n": 10000, "k_policy": "sqrt",
+      "log_scale": False, "format": "text"}),
+    (["simulate", "--model", "pareto", "--log-scale", "--n", "1000", "--reps", "3",
+      "--seed", "9", "--stream", "2", "--k", "20", "--format", "json"],
+     {"command": "simulate", "model": "pareto", "n": 1000, "k_policy": "fixed:20", "reps": 3,
+      "seed": 9, "stream": 2, "log_scale": True, "format": "json"}),
+    (["simulate", "--model", "normal", "--n", "1000", "--reps", "3", "--format", "csv"],
+     {"command": "simulate", "model": "normal", "n": 1000, "k_policy": "sqrt", "reps": 3,
+      "seed": 42, "stream": 0, "log_scale": False, "format": "csv"}),
+    (["ks", "--model", "exp-of-log", "--n", "1000", "--reps", "20", "--threshold", "0.5"],
+     {"command": "ks", "model": "exp-of-log", "n": 1000, "k_policy": "sqrt", "reps": 20,
+      "seed": 42, "stream": 0, "log_scale": False, "format": "text", "threshold": 0.5}),
+    (["table", "--n-total", "200", "--format", "json"],
+     {"command": "table", "seed": 42, "stream": 0, "log_scale": False, "format": "json",
+      "n_total": 200}),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_ECHOES,
+                         ids=["estimate", "test", "norming", "simulate", "simulate-csv", "ks",
+                              "table"])
+def test_config_echo_is_pinned(capsys, grid_file, exp_file, argv, expected):
+    paths = {"<grid>": grid_file, "<exp>": exp_file}
+    argv = [paths.get(arg, arg) for arg in argv]
+    expected = {key: paths.get(value, value) for key, value in expected.items()}
+    code, out, err = run(capsys, argv)
+    assert code == 0 and not err
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    assert list(_echo(out, fmt).items()) == list(expected.items())
+
+
+def test_config_echo_names_the_out_file(capsys, tmp_path):
+    out_path = tmp_path / "reps.csv"
+    code, out, _ = run(capsys, ["simulate", "--model", "normal", "--n", "1000", "--reps", "2",
+                                "--format", "csv", "--out", str(out_path)])
+    assert code == 0 and not out
+    text = out_path.read_bytes().decode("utf-8")
+    assert list(_echo(text, "csv").items())[-2:] == [("format", "csv"), ("out", str(out_path))]
+    # csv rows keep their \r\n endings and nothing follows the last one
+    assert text.split("\n", 1)[1].startswith("replicate,t_n,normalized\r\n")
+    assert text.endswith("\r\n") and not text.endswith("\r\n\n")
+
+
+def test_ks_rejects_bad_threshold_before_drawing(capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicates drawn before the threshold was checked")
+
+    monkeypatch.setattr(engine, "run_replicates", no_draws)
+    code, out, err = run(capsys, [
+        "ks", "--model", "exp-of-log", "--n", "1000000", "--reps", "50", "--threshold=nan",
+    ])
+    assert code == 2
+    assert "threshold" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "normal", "--n", "100000000000000000000", "--reps", "1"],
+    ["table", "--n-total", "100000000000000000000"],
+], ids=["simulate", "table"])
+def test_too_large_n_is_domain_error(capsys, argv):
+    # numpy refuses this size before allocating anything
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out
+    assert "n=100000000000000000000" in err

@@ -100,7 +100,7 @@ def test_run_replicates_matches_sorted_reference_path():
     for i in range(m):
         u = sorted_uniforms(n, rng.replicate(i))
         sample = inverse_transform(model, u)
-        assert de_haan_resnick(sample, k).t_n == rs.raw_t[i]
+        assert de_haan_resnick(sample, k) == rs.raw_t[i]
         assert normalized_statistic(sample, k, nc) == rs.normalized[i]
 
 
@@ -120,7 +120,7 @@ def test_run_replicates_batched_quantile_matches_reference(name, log_scale):
     nc = norming(model, n, k)
     for i in range(m):
         sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
-        assert de_haan_resnick(sample, k).t_n == rs.raw_t[i]
+        assert de_haan_resnick(sample, k) == rs.raw_t[i]
         assert normalized_statistic(sample, k, nc) == rs.normalized[i]
 
 
@@ -177,7 +177,7 @@ def test_run_replicates_log_scale_matches_log_model():
         z = inverse_transform(get_model("pareto"), u)
         from gumbeltail.estimators import de_haan_resnick_log_scale
 
-        assert de_haan_resnick_log_scale(z, k).t_n == via_flag.raw_t[i]
+        assert de_haan_resnick_log_scale(z, k) == via_flag.raw_t[i]
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +294,11 @@ def test_median_abs_t_decreases_for_gumbel_log_models():
 def test_csv_round_trip():
     rs = run_replicates(get_model("exp-of-log"), 1000, KPolicy.sqrt(), 5, RngSpec(seed=3))
     buf = io.StringIO()
-    write_replicates_csv(rs, buf, header_comment="config: {}")
+    write_replicates_csv(rs, buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# config: {}"
-    assert lines[1] == "replicate,t_n,normalized"
-    assert len(lines) == 2 + rs.m
-    idx, t, z = lines[2].split(",")
+    assert lines[0] == "replicate,t_n,normalized"
+    assert len(lines) == 1 + rs.m
+    idx, t, z = lines[1].split(",")
     assert int(idx) == 0
     assert float(t) == rs.raw_t[0]
     assert float(z) == rs.normalized[0]

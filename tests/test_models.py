@@ -19,12 +19,12 @@ from gumbeltail.errors import (
 )
 from gumbeltail.estimators import KPolicy
 from gumbeltail.models import (
-    IteratedLogSpec,
     TailModel,
     _iterated_exp,
     _iterated_log,
     get_model,
     iterated_c_n,
+    iterated_log_model,
     lambda_ratio,
     mason_quantile,
     mean_excess_R,
@@ -254,9 +254,9 @@ def test_transform_log_pareto_gives_log_pareto():
 
 
 def test_transform_log_normal_with_half_mass():
-    model = transform_log(get_model("normal"), a=0.5)
-    got = float(model.quantile(0.002))
-    assert got == pytest.approx(math.log(Z_999), rel=1e-12)
+    # the mass a = P(Z > 0) = 1/2 renormalizes the survival of log Z too
+    model = transform_log(get_model("normal"))
+    assert float(model.sf(math.log(Z_999))) == pytest.approx(0.002, rel=1e-12)
 
 
 def test_transform_log_default_mass_from_cdf():
@@ -347,31 +347,31 @@ def test_mason_non_increasing():
 
 
 def test_iterated_c_n_depth_one():
-    spec = IteratedLogSpec(p=1, m=0.15865525393145707)
-    assert iterated_c_n(spec, 10**6) == pytest.approx(2.0 * math.log(10**6), rel=1e-14)
+    assert iterated_c_n(1, 10**6) == pytest.approx(2.0 * math.log(10**6), rel=1e-14)
 
 
 def test_iterated_c_n_depth_two():
     # (2 log n) * log((2 log n)^(1/2)) = (2 log n) * log(2 log n)/2
-    spec = IteratedLogSpec(p=2, m=0.5)
     base = 2.0 * math.log(10**6)
-    assert iterated_c_n(spec, 10**6) == pytest.approx(base * 0.5 * math.log(base), rel=1e-12)
+    assert iterated_c_n(2, 10**6) == pytest.approx(base * 0.5 * math.log(base), rel=1e-12)
 
 
 def test_iterated_c_n_guards():
     with pytest.raises(DomainError):
-        iterated_c_n(IteratedLogSpec(p=3, m=0.5), 16)
+        iterated_c_n(3, 16)
     with pytest.raises(DomainError):
-        iterated_c_n(IteratedLogSpec(p=1, m=0.5), 15)
+        iterated_c_n(1, 15)
+    with pytest.raises(DomainError, match="must be 1, 2 or 3"):
+        iterated_c_n(0, 10**6)
 
 
 def test_iterated_log_spec_validation():
-    with pytest.raises(ValueError):
-        IteratedLogSpec(p=0, m=0.5)
-    with pytest.raises(ValueError):
-        IteratedLogSpec(p=1, m=0.0)
-    with pytest.raises(ValueError):
-        IteratedLogSpec(p=1, m=1.5)
+    # one depth rule, 1 <= p <= 3, with one message on both sides
+    for p in (0, -1, 4):
+        with pytest.raises(DomainError, match="must be 1, 2 or 3"):
+            iterated_log_model(p)
+        with pytest.raises(DomainError, match="must be 1, 2 or 3"):
+            get_model(f"iterlog({p})")
 
 
 def test_iterlog_model_endpoints_and_monotonicity():
@@ -427,10 +427,9 @@ def test_iterlog_survival_is_a_probability_everywhere(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_iterlog_aux_inverts_iterated_c_n(p):
-    spec = IteratedLogSpec(p=p, m=0.5)
     aux = get_model(f"iterlog({p})").aux_r
     for n in (10**4, 10**6, 10**9):
-        assert aux(1.0 / n) * iterated_c_n(spec, n) == pytest.approx(1.0, rel=1e-14)
+        assert aux(1.0 / n) * iterated_c_n(p, n) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_iterlog_aux_names_the_non_positive_factor():

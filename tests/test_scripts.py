@@ -1,0 +1,29 @@
+"""Smoke runs of the experiment scripts in scripts/ on tiny arguments: each
+must run to the end against the current package API."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,args,last_line", [
+    ("run_table", ["--n-total", "200"], "max column-identity gap"),
+    ("convergence_study", ["--n-grid", "1000", "--reps", "20"], "iterlog(1)"),
+    ("classifier_power", ["--n-grid", "400", "--reps", "5"], "400"),
+])
+def test_script_runs(capsys, monkeypatch, name, args, last_line):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    _load(name).main()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1].lstrip().startswith(last_line)
