@@ -2,8 +2,9 @@
 """Power study of the normal-versus-exponential test.
 
 Draws replicate samples from both generators (exponential y = -log(1-u)
-and half-normal x = sqrt(-2 log(1-u)), sharing uniforms) and reports how
-often the test picks the true parent at each sample size.
+and the normal-tail surrogate x = sqrt(2y), sharing uniforms) and reports
+how often the test picks the true parent at each sample size. Each
+replicate's log-scale estimate comes from the engine's replicate loop.
 
 Usage:
     python scripts/classifier_power.py --reps 200 --n-grid 400 1000 4000
@@ -13,8 +14,15 @@ import argparse
 
 import numpy as np
 
-from gumbeltail import KPolicy, RngSpec, SortedSample, classify, sorted_uniforms
+from gumbeltail import KPolicy, RngSpec, TailModel, get_model, run_replicates, verdict
 from gumbeltail.select import EXPONENTIAL, NORMAL
+
+# sqrt(2E) for a standard exponential E: quantile Q(1 - u) = sqrt(-2 log u)
+SQRT_2E = TailModel(
+    name="sqrt(2E)",
+    quantile=lambda u: np.sqrt(-2.0 * np.log(u)),
+    lower_endpoint=0.0,
+)
 
 
 def main() -> None:
@@ -29,16 +37,14 @@ def main() -> None:
     print(f"policy {policy.spec()}, reps {args.reps}, seed {args.seed}")
     print(f"{'n':>8} {'exp correct':>12} {'norm correct':>13}")
     for block, n in enumerate(args.n_grid):
-        hits_exp = hits_norm = 0
-        for r in range(args.reps):
-            u = sorted_uniforms(n, RngSpec(seed=args.seed, stream_id=block * args.reps + r))
-            y = SortedSample(-np.log(1.0 - u))
-            x = SortedSample(np.sqrt(-2.0 * np.log(1.0 - u)))
-            if classify(y, policy).chosen == EXPONENTIAL:
-                hits_exp += 1
-            if classify(x, policy).chosen == NORMAL:
-                hits_norm += 1
-        print(f"{n:>8} {hits_exp / args.reps:>12.1%} {hits_norm / args.reps:>13.1%}")
+        rates = []
+        for model, truth in ((get_model("exponential"), EXPONENTIAL), (SQRT_2E, NORMAL)):
+            rs = run_replicates(model, n, policy, args.reps,
+                                RngSpec(seed=args.seed, stream_id=block * args.reps),
+                                log_scale=True)
+            hits = sum(verdict(t, n, rs.k).chosen == truth for t in rs.raw_t)
+            rates.append(hits / args.reps)
+        print(f"{n:>8} {rates[0]:>12.1%} {rates[1]:>13.1%}")
 
 
 if __name__ == "__main__":

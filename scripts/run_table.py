@@ -14,6 +14,7 @@ Usage:
 import argparse
 
 from gumbeltail import RngSpec, reproduce_table
+from gumbeltail.engine import format_table
 
 
 def main() -> None:
@@ -27,10 +28,7 @@ def main() -> None:
     for seed in range(args.seed, args.seed + args.seeds):
         rows = reproduce_table(RngSpec(seed=seed), n_total=args.n_total)
         print(f"seed {seed}")
-        print(f"{'n':>6} {'(log n/2)T1':>12} {'(log n)T2':>12} {'T3':>10} {'1-u_(n)':>10}")
-        for row in rows:
-            print(f"{row.n:>6} {row.half_log_n_t1:>12.4f} {row.log_n_t2:>12.4f} "
-                  f"{row.t3:>10.5f} {row.u_gap:>10.6f}")
+        print(format_table(rows))
         worst = max(abs(row.identity_gap) for row in rows)
         print(f"max column-identity gap: {worst:.2e}\n")
 

@@ -20,21 +20,7 @@ from .engine import (
     summarize,
     write_replicates_csv,
 )
-from .errors import (
-    AuxNotVanishing,
-    DomainError,
-    FixedOutOfRange,
-    GumbelTailError,
-    InsufficientSample,
-    KOutOfRange,
-    NoCdf,
-    NonPositiveEndpoint,
-    NonPositiveValue,
-    StepUnderflow,
-    TailUnderflow,
-    TooSmallN,
-    ZeroScale,
-)
+from .errors import AuxNotVanishing, DomainError, GumbelTailError
 from .estimators import (
     KPolicy,
     SortedSample,
@@ -61,33 +47,23 @@ from .models import (
     transform_log,
 )
 from .normal import normal_cdf, normal_pdf, normal_ppf, normal_sf, normal_upper_quantile
-from .select import ModelVerdict, classify
+from .select import ModelVerdict, classify, verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuxNotVanishing",
     "DomainError",
-    "FixedOutOfRange",
     "GumbelTailError",
-    "InsufficientSample",
-    "KOutOfRange",
     "KPolicy",
     "KsReport",
     "ModelVerdict",
-    "NoCdf",
-    "NonPositiveEndpoint",
-    "NonPositiveValue",
     "NormingConstants",
     "ReplicateSet",
     "RngSpec",
     "SortedSample",
-    "StepUnderflow",
     "TableRow",
     "TailModel",
-    "TailUnderflow",
-    "TooSmallN",
-    "ZeroScale",
     "classify",
     "de_haan_resnick",
     "de_haan_resnick_log_scale",
@@ -118,5 +94,6 @@ __all__ = [
     "summarize",
     "transform_exp",
     "transform_log",
+    "verdict",
     "write_replicates_csv",
 ]

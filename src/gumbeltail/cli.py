@@ -238,13 +238,7 @@ def _cmd_table(args) -> None:
     if args.format == "json":
         _emit(config, {"rows": [asdict(row) for row in rows]})
         return
-    lines = [f"{'n':>6} {'(log n/2)T1':>12} {'(log n)T2':>12} {'T3':>10} {'1-u_(n)':>10}"]
-    for row in rows:
-        lines.append(
-            f"{row.n:>6} {row.half_log_n_t1:>12.4f} {row.log_n_t2:>12.4f} "
-            f"{row.t3:>10.5f} {row.u_gap:>10.6f}"
-        )
-    _emit(config, {}, out_text="\n".join(lines))
+    _emit(config, {}, out_text=engine.format_table(rows))
 
 
 def _cmd_test(args) -> None:

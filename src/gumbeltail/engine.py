@@ -244,6 +244,18 @@ def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
 # emission
 
 
+def format_table(rows: list[TableRow]) -> str:
+    """The table as text: a header line and one line per row, no trailing
+    newline."""
+    lines = [f"{'n':>6} {'(log n/2)T1':>12} {'(log n)T2':>12} {'T3':>10} {'1-u_(n)':>10}"]
+    for row in rows:
+        lines.append(
+            f"{row.n:>6} {row.half_log_n_t1:>12.4f} {row.log_n_t2:>12.4f} "
+            f"{row.t3:>10.5f} {row.u_gap:>10.6f}"
+        )
+    return "\n".join(lines)
+
+
 def write_replicates_csv(rs: ReplicateSet, fh) -> None:
     """One row per replicate: index, t_n, normalized."""
     writer = csv.writer(fh)

@@ -11,45 +11,5 @@ class DomainError(GumbelTailError, ValueError):
     """An argument lies outside the mathematically valid range."""
 
 
-class KOutOfRange(DomainError):
-    """Order-statistic depth k violates 2 <= k < n."""
-
-
-class FixedOutOfRange(DomainError):
-    """A fixed k-policy produced k <= 1 or k >= n."""
-
-
-class TooSmallN(DomainError):
-    """Sample size too small for the requested k-policy."""
-
-
-class NonPositiveValue(DomainError):
-    """A log-scale operation received a value <= 0."""
-
-
-class ZeroScale(DomainError):
-    """A normalizing scale a_n <= 0 makes the statistic undefined."""
-
-
-class StepUnderflow(DomainError):
-    """Finite-difference step would underflow at the requested point."""
-
-
-class NoCdf(GumbelTailError):
-    """The model does not expose a CDF, so tail integrals are unavailable."""
-
-
-class TailUnderflow(DomainError):
-    """The survival function underflows to zero at the requested point."""
-
-
-class NonPositiveEndpoint(DomainError):
-    """Log transform requires a distribution with positive upper endpoint."""
-
-
-class InsufficientSample(DomainError):
-    """Too few observations for the requested statistical procedure."""
-
-
 class AuxNotVanishing(UserWarning):
     """The auxiliary scale function does not decay to zero at the tail."""

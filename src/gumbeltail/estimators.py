@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FixedOutOfRange,
-    KOutOfRange,
-    NonPositiveValue,
-    TooSmallN,
-    ZeroScale,
-)
+from .errors import DomainError
 
 if TYPE_CHECKING:
     from .models import NormingConstants
@@ -114,16 +107,16 @@ def select_k(policy: KPolicy, n: int) -> int:
     """Evaluate a k-policy at sample size n.
 
     The computed k is clamped up to 2 (log k must stay positive) and must
-    satisfy k < n. Raises FixedOutOfRange for an infeasible fixed k and
-    TooSmallN when n < 4 or the computed k cannot fit below n (including
-    log(n) ** ell overflowing a float).
+    satisfy k < n. Raises DomainError for an infeasible fixed k, for n < 4
+    and when the computed k cannot fit below n (including log(n) ** ell
+    overflowing a float).
     """
     if n < 4:
-        raise TooSmallN(f"need n >= 4, got {n}")
+        raise DomainError(f"need n >= 4, got {n}")
     if policy.kind == "fixed":
         k = int(policy.k)
         if k <= 1 or k >= n:
-            raise FixedOutOfRange(f"fixed k={k} infeasible for n={n}")
+            raise DomainError(f"fixed k={k} infeasible for n={n}")
         return k
     if policy.kind == "sqrt":
         k = math.floor(math.sqrt(n))
@@ -131,18 +124,18 @@ def select_k(policy: KPolicy, n: int) -> int:
         try:
             k = math.floor(math.log(n) ** policy.ell)
         except OverflowError:
-            raise TooSmallN(
+            raise DomainError(
                 f"policy {policy.spec()} gives k = log(n)**ell beyond float range at n={n}"
             ) from None
     k = max(k, 2)
     if k >= n:
-        raise TooSmallN(f"policy {policy.spec()} gives k={k} >= n={n}")
+        raise DomainError(f"policy {policy.spec()} gives k={k} >= n={n}")
     return k
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: float, n: int) -> None:
     if not 2 <= k < n:
-        raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
+        raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
 
 
 def de_haan_resnick(s: SortedSample, k: int) -> float:
@@ -162,7 +155,7 @@ def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> float:
     de_haan_resnick(log(sample), k) exactly.
     """
     if positive_sample.values[0] <= 0.0:
-        raise NonPositiveValue("log-scale estimator requires all values > 0")
+        raise DomainError("log-scale estimator requires all values > 0")
     return de_haan_resnick(SortedSample(np.log(positive_sample.values)), k)
 
 
@@ -191,7 +184,7 @@ def normalized_statistic(s: SortedSample, k: int, nc: "NormingConstants") -> flo
             f"norming constants computed for (n={nc.n}, k={nc.k}), sample has (n={n}, k={k})"
         )
     if nc.a_n <= 0.0:
-        raise ZeroScale(f"a_n must be positive, got {nc.a_n}")
+        raise DomainError(f"a_n must be positive, got {nc.a_n}")
     spacing = float(s.values[n - 1]) - float(s.values[n - 1 - k])
     z = (spacing - nc.a_n * nc.b_n) / nc.a_n
     if not math.isfinite(z):

@@ -20,16 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import (
-    AuxNotVanishing,
-    DomainError,
-    KOutOfRange,
-    NoCdf,
-    NonPositiveEndpoint,
-    StepUnderflow,
-    TailUnderflow,
-    ZeroScale,
-)
+from .errors import AuxNotVanishing, DomainError
+from .estimators import _check_k
 from .normal import normal_sf, normal_upper_quantile
 
 # Survival values below this fraction of the start point are treated as
@@ -58,9 +50,9 @@ class TailModel:
     mean_excess_finite: bool = True
 
     def sf(self, x):
-        """Survival 1 - F(x); raises NoCdf for a quantile-only model."""
+        """Survival 1 - F(x); raises DomainError for a quantile-only model."""
         if self.survival is None:
-            raise NoCdf(f"model {self.name!r} has no survival function")
+            raise DomainError(f"model {self.name!r} has no survival function")
         return self.survival(x)
 
 
@@ -95,7 +87,7 @@ def rho_numeric(model: TailModel, u: float) -> float:
     """
     _check_u(u)
     if u < 1e-11:
-        raise StepUnderflow(f"u={u} too small for a stable difference step")
+        raise DomainError(f"u={u} too small for a stable difference step")
     h = max(u * 1e-5, 1e-12)
     g_plus = float(model.quantile(u + h))
     g_minus = float(model.quantile(u - h))
@@ -133,14 +125,14 @@ def mean_excess_R(model: TailModel, t: float) -> float:
     survival function on (t, A), truncated where the survival falls below
     1e-18 of its value at t."""
     if model.survival is None:
-        raise NoCdf(f"model {model.name!r} has no survival function")
+        raise DomainError(f"model {model.name!r} has no survival function")
     if not model.mean_excess_finite:
         raise DomainError(f"mean excess diverges for model {model.name!r}")
     if not model.lower_endpoint < t < model.upper_endpoint:
         raise DomainError(f"t={t} outside the support of {model.name!r}")
     st = float(model.sf(t))
     if st <= 1e-300:
-        raise TailUnderflow(f"survival underflows at t={t} for {model.name!r}")
+        raise DomainError(f"survival underflows at t={t} for {model.name!r}")
     upper = _tail_cutoff(model, t, _TAIL_TRUNCATION * st)
     integral, _ = integrate.quad(
         lambda v: float(model.sf(v)), t, upper, epsrel=_QUAD_RTOL, limit=200
@@ -162,13 +154,12 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     derivative; b_n from the quantile difference; lam is the finite-n scale
     ratio r(1/n) / r(k/n), or None when it cannot be evaluated.
     """
-    if not 2 <= k < n:
-        raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
+    _check_k(k, n)
     r = _aux(model)
     uk = k / n
     a_n = float(r(uk))
     if not a_n > 0.0:
-        raise ZeroScale(f"a_n = {a_n} must be positive")
+        raise DomainError(f"a_n = {a_n} must be positive")
     b_n = (float(model.quantile(1.0 / n)) - float(model.quantile(uk))) / a_n
     try:
         lam = float(r(1.0 / n)) / a_n
@@ -200,13 +191,13 @@ def transform_log(model: TailModel) -> TailModel:
     the base model can integrate its tail, dropped otherwise.
     """
     if not model.upper_endpoint > 0.0:
-        raise NonPositiveEndpoint(f"model {model.name!r} has upper endpoint <= 0")
+        raise DomainError(f"model {model.name!r} has upper endpoint <= 0")
     if model.lower_endpoint >= 0.0:
         a = 1.0
     elif model.survival is not None:
         a = float(model.sf(0.0))
     else:
-        raise NoCdf(f"P(X > 0) is unknown for quantile-only model {model.name!r}")
+        raise DomainError(f"P(X > 0) is unknown for quantile-only model {model.name!r}")
     if not 0.0 < a <= 1.0:
         raise DomainError(f"a = P(X > 0) must lie in (0, 1], got {a}")
 

@@ -3,8 +3,9 @@
 The inverse uses Acklam's rational approximation followed by one Halley
 refinement step against the erfc-based CDF, which brings the absolute
 error below 1e-13 on (0, 1) wherever exp(z^2/2) is representable.
-Refinement is skipped for |z| > 36 (p below ~1e-281) where the raw
-approximation is already the best double-precision answer available.
+Refinement is skipped for |z| > 37.5 (p below ~4.6e-308), where
+exp(z^2/2) would overflow and the raw approximation is already the best
+double-precision answer available.
 """
 
 from __future__ import annotations

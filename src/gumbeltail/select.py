@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientSample, NonPositiveValue
+from .errors import DomainError
 from .estimators import KPolicy, SortedSample, de_haan_resnick_log_scale, select_k
 
 _LN2 = math.log(2.0)
@@ -53,19 +53,27 @@ def _gumbel_logpdf(x: float, lam: float) -> float:
     return -math.log(lam) - z - math.exp(-z)
 
 
+def _check_n(n: int) -> None:
+    if n < 100:
+        raise DomainError(f"need n >= 100, got {n}")
+
+
 def classify(sample: SortedSample, policy: KPolicy) -> ModelVerdict:
     """Decide between a normal and an exponential parent for a positive
     sample; scale-invariant because the log-scale estimator ignores
     multiplicative constants.
     """
     n = sample.n
-    if n < 100:
-        raise InsufficientSample(f"need n >= 100, got {n}")
+    _check_n(n)
     if sample.values[0] <= 0.0:
-        raise NonPositiveValue("model test requires all values > 0")
+        raise DomainError("model test requires all values > 0")
     k = select_k(policy, n)
-    t = de_haan_resnick_log_scale(sample, k)
+    return verdict(de_haan_resnick_log_scale(sample, k), n, k)
 
+
+def verdict(t: float, n: int, k: int) -> ModelVerdict:
+    """The model test on a log-scale estimate t = T_n at (n, k), n >= 100."""
+    _check_n(n)
     log_n = math.log(n)
     log_nk = math.log(n / k)
     lam = log_nk / log_n

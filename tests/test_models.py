@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gumbeltail.errors import (
-    AuxNotVanishing,
-    DomainError,
-    KOutOfRange,
-    NoCdf,
-    NonPositiveEndpoint,
-    StepUnderflow,
-    TailUnderflow,
-)
+from gumbeltail.errors import AuxNotVanishing, DomainError
 from gumbeltail.estimators import KPolicy
 from gumbeltail.models import (
     TailModel,
@@ -112,7 +104,7 @@ def test_rho_log_pareto_is_one():
 
 
 def test_rho_step_underflow():
-    with pytest.raises(StepUnderflow):
+    with pytest.raises(DomainError, match="too small for a stable difference step"):
         rho_numeric(get_model("exp-of-log"), 1e-12)
 
 
@@ -152,12 +144,12 @@ def test_mean_excess_exp_of_log():
 
 
 def test_mean_excess_requires_cdf():
-    with pytest.raises(NoCdf):
+    with pytest.raises(DomainError, match="model 'mason' has no survival function"):
         mean_excess_R(get_model("mason"), 2.0)
 
 
 def test_mean_excess_tail_underflow():
-    with pytest.raises(TailUnderflow):
+    with pytest.raises(DomainError, match="survival underflows at t=40.0"):
         mean_excess_R(get_model("normal"), 40.0)
 
 
@@ -179,7 +171,7 @@ def test_norming_exp_of_log_closed_form():
 
 
 def test_norming_rejects_k_one():
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(DomainError, match="need 2 <= k < n, got k=1, n=1000"):
         norming(get_model("exp-of-log"), 1000, 1)
 
 
@@ -267,7 +259,7 @@ def test_transform_log_default_mass_from_cdf():
 
 def test_transform_log_rejects_nonpositive_endpoint():
     dead = TailModel(name="negative", quantile=lambda u: -1.0 - u, upper_endpoint=-1.0)
-    with pytest.raises(NonPositiveEndpoint):
+    with pytest.raises(DomainError, match="model 'negative' has upper endpoint <= 0"):
         transform_log(dead)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gumbeltail.engine import RngSpec, sorted_uniforms
-from gumbeltail.errors import InsufficientSample, NonPositiveValue
-from gumbeltail.estimators import KPolicy, SortedSample
-from gumbeltail.select import EXPONENTIAL, INCONCLUSIVE, NORMAL, classify
+from gumbeltail.errors import DomainError
+from gumbeltail.estimators import KPolicy, SortedSample, de_haan_resnick_log_scale, select_k
+from gumbeltail.select import EXPONENTIAL, INCONCLUSIVE, NORMAL, classify, verdict
 
 
 def exponential_grid(n: int) -> SortedSample:
@@ -49,14 +49,31 @@ def test_scale_invariance():
 
 
 def test_small_sample_rejected():
-    with pytest.raises(InsufficientSample):
+    with pytest.raises(DomainError, match="need n >= 100, got 99"):
         classify(exponential_grid(99), KPolicy.sqrt())
 
 
 def test_nonpositive_rejected():
     values = np.sort(np.concatenate([[-1.0], np.arange(1.0, 200.0)]))
-    with pytest.raises(NonPositiveValue):
+    with pytest.raises(DomainError, match="model test requires all values > 0"):
         classify(SortedSample(values), KPolicy.sqrt())
+
+
+@pytest.mark.parametrize("sample", [
+    exponential_grid(4000), half_normal_grid(4000), exponential_grid(100),
+    half_normal_grid(777), SortedSample(np.full(500, 3.7)),
+], ids=["exp-4000", "half-normal-4000", "exp-100", "half-normal-777", "constant"])
+@pytest.mark.parametrize("spec", ["sqrt", "logpow:2", "fixed:20"])
+def test_verdict_matches_classify(sample, spec):
+    policy = KPolicy.parse(spec)
+    k = select_k(policy, sample.n)
+    t = de_haan_resnick_log_scale(sample, k)
+    assert verdict(t, sample.n, k) == classify(sample, policy)
+
+
+def test_verdict_small_n_rejected():
+    with pytest.raises(DomainError, match="need n >= 100, got 99"):
+        verdict(0.1, 99, 9)
 
 
 def test_verdict_serialization():
