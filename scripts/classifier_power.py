@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from gumbeltail import KPolicy, RngSpec, TailModel, get_model, run_replicates, verdict
+from gumbeltail import KPolicy, RngSpec, TailModel, get_model, run_replicates, transform_log, verdict
 from gumbeltail.select import EXPONENTIAL, NORMAL
 
 # sqrt(2E) for a standard exponential E: quantile Q(1 - u) = sqrt(-2 log u)
@@ -39,10 +39,9 @@ def main() -> None:
     for block, n in enumerate(args.n_grid):
         rates = []
         for model, truth in ((get_model("exponential"), EXPONENTIAL), (SQRT_2E, NORMAL)):
-            rs = run_replicates(model, n, policy, args.reps,
-                                RngSpec(seed=args.seed, stream_id=block * args.reps),
-                                log_scale=True)
-            hits = sum(verdict(t, n, rs.k).chosen == truth for t in rs.raw_t)
+            rs = run_replicates(transform_log(model), n, policy, args.reps,
+                                RngSpec(seed=args.seed, stream_id=block * args.reps))
+            hits = sum(verdict(t, n, rs.constants.k).chosen == truth for t in rs.raw_t)
             rates.append(hits / args.reps)
         print(f"{n:>8} {rates[0]:>12.1%} {rates[1]:>13.1%}")
 

@@ -46,7 +46,7 @@ def main() -> None:
                 pass_text = "yes" if report.passed else "no"
             else:
                 ks_text, lam_text, pass_text = "      --", "      --", "--"
-            print(f"{name:>14} {n:>8} {rs.k:>5} {med:>11.5f} {lam_text} {ks_text} {pass_text:>5}")
+            print(f"{name:>14} {n:>8} {rs.constants.k:>5} {med:>11.5f} {lam_text} {ks_text} {pass_text:>5}")
 
 
 if __name__ == "__main__":

@@ -13,12 +13,12 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 from . import engine
 from .errors import DomainError, GumbelTailError
 from .estimators import KPolicy, SortedSample, de_haan_resnick, hill, select_k
-from .models import get_model, lambda_ratio, model_names, norming
+from .models import get_model, lambda_ratio, model_names, norming, transform_log
 from .select import classify
 
 DEFAULT_SEED = 42
@@ -33,34 +33,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoable record of one CLI invocation."""
-
-    command: str
-    model: str | None = None
-    n: int | None = None
-    k_policy: str | None = None
-    reps: int | None = None
-    seed: int | None = None
-    stream: int | None = None
-    log_scale: bool = False
-    format: str = "text"
-    out: str | None = None
-    path: str | None = None
-    n_total: int | None = None
-    threshold: float | None = None
-
-    def to_dict(self) -> dict:
-        return {key: value for key, value in vars(self).items() if value is not None}
+# the echoed keys, in echo order; each command echoes the ones it parses
+_ECHO_KEYS = ("command", "model", "n", "k_policy", "reps", "seed", "stream", "log_scale",
+              "format", "out", "path", "n_total", "threshold")
 
 
-def _config(args, policy: KPolicy | None = None) -> RunConfig:
-    """The echo of a parsed command: every RunConfig field the command has,
-    with the k-policy in its normalized spec form."""
-    echo = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    echo["k_policy"] = None if policy is None else policy.spec()
-    return RunConfig(**echo)
+def _config(args, policy: KPolicy | None = None) -> dict:
+    """The echo of a parsed command: every echo key the command has that is
+    not None, with the k-policy in its normalized spec form and log_scale
+    false for commands without --log-scale."""
+    echo = {"log_scale": False, **vars(args),
+            "k_policy": None if policy is None else policy.spec()}
+    return {key: echo[key] for key in _ECHO_KEYS if echo.get(key) is not None}
 
 
 def _resolve_policy(args) -> KPolicy:
@@ -97,26 +81,26 @@ def _read_sample(path: str) -> SortedSample:
     return SortedSample.from_values(values)
 
 
-def _emit(config: RunConfig, payload: dict, out_text: str | None = None) -> None:
+def _emit(config: dict, payload: dict, out_text: str | None = None) -> None:
     """Write the output of a run to --out or stdout.
 
     json is the config and payload; text and csv are a "# config:" line and
     out_text. csv rows keep their CRLF endings and get no further newline."""
-    if config.format == "json":
-        doc = {"schema": 1, "config": config.to_dict(), **payload}
-        text = json.dumps(doc, indent=2) + "\n"
+    fmt, out = config["format"], config.get("out")
+    if fmt == "json":
+        text = json.dumps({"schema": 1, "config": config, **payload}, indent=2) + "\n"
     else:
-        text = f"# config: {json.dumps(config.to_dict())}\n"
+        text = f"# config: {json.dumps(config)}\n"
         if out_text is not None:
-            text += out_text if config.format == "csv" else out_text + "\n"
-    if not config.out:
+            text += out_text if fmt == "csv" else out_text + "\n"
+    if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {config.out}: {exc}") from None
+        raise _UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _add_common(sub, model=False, n=False, k=False, reps=False, seed=False, fmt=None):
@@ -214,7 +198,9 @@ def _cmd_replicates(args) -> None:
     ks = args.command == "ks"
     if ks:
         engine.check_ks_threshold(args.threshold)
-    rs = engine.run_replicates(model, args.n, policy, args.reps, rng, log_scale=args.log_scale)
+    if args.log_scale:
+        model = transform_log(model)
+    rs = engine.run_replicates(model, args.n, policy, args.reps, rng)
     report = None
     if ks:
         lam = rs.constants.lam

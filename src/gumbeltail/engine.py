@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, GumbelTailError
 from .estimators import KPolicy, SortedSample, select_k
-from .models import NormingConstants, TailModel, norming, transform_log
+from .models import NormingConstants, TailModel, norming
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class ReplicateSet:
-    """Estimator values and normalized statistics over M replicates."""
+    """Estimator values and normalized statistics over M replicates; n and k
+    are those of the norming constants, M is the length of the arrays."""
 
     model_name: str
-    n: int
-    k: int
-    m: int
     raw_t: np.ndarray
     normalized: np.ndarray
     constants: NormingConstants
@@ -73,7 +71,6 @@ class KsReport:
     """Empirical-vs-Gumbel Kolmogorov-Smirnov distance and its verdict."""
 
     ks: float
-    m: int
     threshold: float
     passed: bool
     scale_lambda: float
@@ -118,21 +115,19 @@ def run_replicates(
     policy: KPolicy,
     m: int,
     rng: RngSpec,
-    log_scale: bool = False,
 ) -> ReplicateSet:
     """M independent replicates of the max-spacing estimator on the model.
 
     Replicate i draws its own uniform stream (stream_id + i); the quantile
     is evaluated once, on the M top and M (n-k)-th uniforms, giving t_n and
-    the normalized statistic (spacing - a_n b_n) / a_n. With log_scale=True
-    the estimator runs on log X, i.e. on the log-transformed model. Results
-    are deterministic for a fixed RngSpec and ordered by replicate index.
+    the normalized statistic (spacing - a_n b_n) / a_n. To estimate on log X,
+    pass transform_log(model). Results are deterministic for a fixed RngSpec
+    and ordered by replicate index.
     """
     if m < 1:
         raise DomainError(f"need at least one replicate, got m={m}")
     k = select_k(policy, n)
-    eff = transform_log(model) if log_scale else model
-    nc = norming(eff, n, k)
+    nc = norming(model, n, k)
     log_k = math.log(k)
 
     # a function, so each n-sized draw is freed, and its memory reused, before the next
@@ -142,12 +137,10 @@ def run_replicates(
         return j[n - 1 - k:].max(), j[n - 1 - k]
 
     u_top, u_k = _open_uniforms(np.array([order_stats(i) for i in range(m)])).T
-    spacing = eff.quantile(1.0 - u_top) - eff.quantile(1.0 - u_k)
+    spacing = model.quantile(1.0 - u_top) - model.quantile(1.0 - u_k)
     raw_t = spacing / log_k
     normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n
-    return ReplicateSet(
-        model_name=eff.name, n=n, k=k, m=m, raw_t=raw_t, normalized=normalized, constants=nc
-    )
+    return ReplicateSet(model_name=model.name, raw_t=raw_t, normalized=normalized, constants=nc)
 
 
 def gumbel_cdf(x, lambda_scale: float):
@@ -180,7 +173,7 @@ def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> 
     ks = float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1.0 / m - ref))))
     if threshold is None:
         threshold = 1.36 / math.sqrt(m)
-    return KsReport(ks=ks, m=m, threshold=threshold, passed=ks <= threshold, scale_lambda=lambda_scale)
+    return KsReport(ks=ks, threshold=threshold, passed=ks <= threshold, scale_lambda=lambda_scale)
 
 
 @dataclass(frozen=True)
@@ -260,7 +253,7 @@ def write_replicates_csv(rs: ReplicateSet, fh) -> None:
     """One row per replicate: index, t_n, normalized."""
     writer = csv.writer(fh)
     writer.writerow(["replicate", "t_n", "normalized"])
-    for i in range(rs.m):
+    for i in range(rs.raw_t.size):
         writer.writerow([i, repr(float(rs.raw_t[i])), repr(float(rs.normalized[i]))])
 
 
@@ -269,9 +262,9 @@ def summarize(rs: ReplicateSet, report: KsReport | None = None) -> dict:
     out = {
         "schema": 1,
         "model": rs.model_name,
-        "n": rs.n,
-        "k": rs.k,
-        "reps": rs.m,
+        "n": rs.constants.n,
+        "k": rs.constants.k,
+        "reps": rs.raw_t.size,
         "a_n": rs.constants.a_n,
         "b_n": rs.constants.b_n,
         "lambda": rs.constants.lam,

@@ -89,11 +89,16 @@ class KPolicy:
         head, _, tail = spec.partition(":")
         if head == "sqrt" and not tail:
             return cls.sqrt()
-        if head == "logpow" and tail:
-            return cls.log_power(float(tail))
-        if head == "fixed" and tail:
-            return cls.fixed(int(tail))
-        raise ValueError(f"cannot parse k-policy spec: {spec!r}")
+        try:
+            if head == "logpow" and tail:
+                return cls.log_power(float(tail))
+            if head == "fixed" and tail:
+                return cls.fixed(int(tail))
+        except DomainError:
+            raise
+        except ValueError:  # a non-numeric ell or k
+            pass
+        raise DomainError(f"cannot parse k-policy spec: {spec!r}")
 
     def spec(self) -> str:
         if self.kind == "sqrt":
@@ -180,7 +185,7 @@ def normalized_statistic(s: SortedSample, k: int, nc: "NormingConstants") -> flo
     n = s.n
     _check_k(k, n)
     if nc.n != n or int(nc.k) != k:
-        raise ValueError(
+        raise DomainError(
             f"norming constants computed for (n={nc.n}, k={nc.k}), sample has (n={n}, k={k})"
         )
     if nc.a_n <= 0.0:

@@ -432,14 +432,14 @@ def _pareto_model() -> TailModel:
     )
 
 
-def _exponential_model(name: str = "exponential") -> TailModel:
+def _exponential_model() -> TailModel:
     def quantile(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
             return -np.log(u)
 
     return TailModel(
-        name=name,
+        name="exponential",
         quantile=quantile,
         survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
         aux_r=lambda u: 1.0,
@@ -467,7 +467,7 @@ _FACTORIES: dict[str, Callable[[], TailModel]] = {
     "log-normal": _log_normal_model,
     "pareto": _pareto_model,
     "exponential": _exponential_model,
-    "gamma-tail": lambda: _exponential_model("gamma-tail"),
+    "gamma-tail": lambda: replace(_exponential_model(), name="gamma-tail"),
     "mason": _mason_model,
 }
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
+from .errors import DomainError
+
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -66,7 +68,7 @@ def normal_ppf(p):
     """Inverse standard normal CDF.
 
     Accepts scalars or arrays with entries in (0, 1); 0 and 1 map to
-    -inf/+inf. Raises ValueError outside [0, 1]. Internally folds onto the
+    -inf/+inf. Raises DomainError outside [0, 1]. Internally folds onto the
     lower half by symmetry (1 - p is exact there), so both tails get the
     full accuracy of the lower-tail branch.
     """
@@ -74,7 +76,7 @@ def normal_ppf(p):
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(np.ascontiguousarray(p_arr, dtype=float))
     if np.any((p_arr < 0.0) | (p_arr > 1.0) | np.isnan(p_arr)):
-        raise ValueError("p must lie in [0, 1]")
+        raise DomainError("p must lie in [0, 1]")
 
     z = np.full_like(p_arr, np.nan)
     z[p_arr == 0.0] = -np.inf

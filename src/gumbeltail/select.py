@@ -14,7 +14,7 @@ tie, reported as inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .estimators import KPolicy, SortedSample, de_haan_resnick_log_scale, select_k
@@ -38,14 +38,7 @@ class ModelVerdict:
     statistic_exponential: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "chosen": self.chosen,
-            "score_normal": self.score_normal,
-            "score_exponential": self.score_exponential,
-            "statistic_normal": self.statistic_normal,
-            "statistic_exponential": self.statistic_exponential,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _gumbel_logpdf(x: float, lam: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from gumbeltail.engine import RngSpec, ks_distance, reproduce_table, run_replicates, sorted_uniforms
 from gumbeltail.estimators import KPolicy, SortedSample, de_haan_resnick, hill
-from gumbeltail.models import TailModel, get_model, mean_excess_R, norming
+from gumbeltail.models import TailModel, get_model, mean_excess_R, norming, transform_log
 from gumbeltail.select import EXPONENTIAL, NORMAL, classify
 
 SEED = 42
@@ -41,7 +41,7 @@ def report(number: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def half_normal_model() -> TailModel:
+def sqrt_2e_model() -> TailModel:
     """Sample construction x = sqrt(-2 log(1 - u)), the normal-tail surrogate."""
     return TailModel(
         name="sqrt-exponential",
@@ -52,8 +52,8 @@ def half_normal_model() -> TailModel:
 
 def test_criterion_1_pareto_consistency():
     started = time.time()
-    rs = run_replicates(get_model("pareto"), 4000, KPolicy.sqrt(), 200,
-                        RngSpec(seed=SEED), log_scale=True)
+    rs = run_replicates(transform_log(get_model("pareto")), 4000, KPolicy.sqrt(), 200,
+                        RngSpec(seed=SEED))
     mean_t = float(rs.raw_t.mean())
     elapsed = time.time() - started
     ok = 0.90 <= mean_t <= 1.10 and elapsed < 10.0
@@ -70,11 +70,9 @@ def test_criterion_2_scaled_means_near_log2():
     started = time.time()
     n, m = 4000, 200
     rng = RngSpec(seed=SEED)
-    exp_run = run_replicates(get_model("exponential"), n, KPolicy.sqrt(), m, rng,
-                             log_scale=True)
+    exp_run = run_replicates(transform_log(get_model("exponential")), n, KPolicy.sqrt(), m, rng)
     mean_1 = 0.5 * math.log(n) * float(exp_run.raw_t.mean())
-    half_run = run_replicates(half_normal_model(), n, KPolicy.sqrt(), m, rng,
-                              log_scale=True)
+    half_run = run_replicates(transform_log(sqrt_2e_model()), n, KPolicy.sqrt(), m, rng)
     mean_2 = math.log(n) * float(half_run.raw_t.mean())
     elapsed = time.time() - started
     ln2 = math.log(2.0)

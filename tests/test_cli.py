@@ -7,15 +7,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gumbeltail import engine
-from gumbeltail.cli import DEFAULT_SEED, RunConfig, build_parser, dispatch
+from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
 
 GRID_T = 1.0092454329104992
 GRID_H = 0.9466319172089102
@@ -146,6 +144,9 @@ def test_usage_errors(capsys, grid_file):
     assert code == 1 and "either" in err
     code, _, err = run(capsys, ["estimate", "--k-policy", "what:1", grid_file])
     assert code == 1
+    for spec in ("logpow:abc", "fixed:2.5"):
+        code, out, err = run(capsys, ["estimate", "--k-policy", spec, grid_file])
+        assert (code, out, err) == (1, "", f"error: cannot parse k-policy spec: '{spec}'\n")
     code, _, err = run(capsys, ["simulate", "--model", "pareto"])  # missing --n
     assert code == 1
 
@@ -289,17 +290,6 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
         assert "threshold" not in config and "out" not in config
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(command="ks", model="normal", n=1000, k_policy="sqrt", reps=20, seed=3,
-              stream=1, log_scale=True, format="json", out="x.json", path="p.txt",
-              n_total=4000, threshold=0.25),
-    RunConfig(command="estimate", path="p.txt", k_policy="fixed:31"),
-])
-def test_config_echo_matches_asdict(config):
-    expected = {key: value for key, value in asdict(config).items() if value is not None}
-    assert list(config.to_dict().items()) == list(expected.items())
-
-
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "normal", "--n", "1000", "--reps", "3", "--format", "csv"],
     ["norming", "--model", "normal", "--n", "10000"],
@@ -413,3 +403,39 @@ def test_too_large_n_is_domain_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and not out
     assert "n=100000000000000000000" in err
+
+
+# full stdout of two log-scale runs; the log transform is applied by the
+# CLI, and these bytes must not depend on where
+PINNED_LOG_SCALE = [
+    (["simulate", "--model", "pareto", "--log-scale", "--n", "1000", "--reps", "5", "--seed", "9",
+      "--format", "csv"],
+     '# config: {"command": "simulate", "model": "pareto", "n": 1000, "k_policy": "sqrt", '
+     '"reps": 5, "seed": 9, "stream": 0, "log_scale": true, "format": "csv"}\n'
+     "replicate,t_n,normalized\r\n"
+     "0,1.3525996749996108,1.2108227722194673\r\n"
+     "1,1.1758869596520853,0.6039935688636883\r\n"
+     "2,1.3118458328275027,1.0708745996708646\r\n"
+     "3,1.3379876689707297,1.1606453304858726\r\n"
+     "4,0.9673258287006542,-0.11220268615588254\r\n"),
+    (["ks", "--model", "normal", "--log-scale", "--n", "1000", "--reps", "50", "--seed", "1",
+      "--format", "json"],
+     json.dumps({
+         "schema": 1,
+         "config": {"command": "ks", "model": "normal", "n": 1000, "k_policy": "sqrt",
+                    "reps": 50, "seed": 1, "stream": 0, "log_scale": True, "format": "json"},
+         "summary": {"schema": 1, "model": "log(normal)", "n": 1000, "k": 31, "reps": 50,
+                     "a_n": 0.2084566623234567, "b_n": 2.025819539077026,
+                     "lambda": 0.42978357055645217, "mean_t": 0.12993888150630192,
+                     "median_t": 0.12825965328517835, "mean_normalized": 0.11471390074838242,
+                     "ks": 0.17753667098045312, "ks_threshold": 0.19233304448274094,
+                     "pass": True, "scale_lambda": 0.42978357055645217},
+     }, indent=2) + "\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_LOG_SCALE, ids=["simulate-csv", "ks-json"])
+def test_log_scale_output_is_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == expected

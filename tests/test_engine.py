@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gumbeltail.engine import (
     RngSpec,
@@ -116,7 +117,7 @@ def test_run_replicates_batched_quantile_matches_reference(name, log_scale):
     n, m = 500, 8
     rng = RngSpec(seed=31, stream_id=2)
     k = select_k(KPolicy.sqrt(), n)
-    rs = run_replicates(base, n, KPolicy.sqrt(), m, rng, log_scale=log_scale)
+    rs = run_replicates(model, n, KPolicy.sqrt(), m, rng)
     nc = norming(model, n, k)
     for i in range(m):
         sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
@@ -132,10 +133,10 @@ def test_run_replicates_requires_a_replicate():
 def test_replicate_set_consistency():
     model = get_model("exp-of-log")
     rs = run_replicates(model, 1000, KPolicy.sqrt(), 12, RngSpec(seed=301))
-    assert rs.m == 12 and rs.raw_t.shape == (12,) and rs.normalized.shape == (12,)
+    assert rs.raw_t.shape == (12,) and rs.normalized.shape == (12,)
     # normalized[i] rebuilt from raw_t[i]: spacing = t log k
     anbn = rs.constants.a_n * rs.constants.b_n
-    rebuilt = (rs.raw_t * math.log(rs.k) - anbn) / rs.constants.a_n
+    rebuilt = (rs.raw_t * math.log(rs.constants.k) - anbn) / rs.constants.a_n
     assert np.allclose(rebuilt, rs.normalized, rtol=0.0, atol=1e-12)
 
 
@@ -158,8 +159,8 @@ def test_run_replicates_pareto_log_scale_mean_oracle():
     # replicate mean of T must sit at H_k / log k, not at the limit 1
     n, m = 4000, 200
     k = select_k(KPolicy.sqrt(), n)
-    rs = run_replicates(get_model("pareto"), n, KPolicy.sqrt(), m, RngSpec(seed=42),
-                        log_scale=True)
+    rs = run_replicates(transform_log(get_model("pareto")), n, KPolicy.sqrt(), m,
+                        RngSpec(seed=42))
     oracle = sum(1.0 / i for i in range(1, k + 1)) / math.log(k)
     se = float(rs.raw_t.std(ddof=1)) / math.sqrt(m)
     assert abs(float(rs.raw_t.mean()) - oracle) <= 3.0 * se
@@ -169,15 +170,15 @@ def test_run_replicates_log_scale_matches_log_model():
     # estimating pareto on the log scale is estimating its log transform
     n, m = 4000, 5
     rng = RngSpec(seed=13)
-    via_flag = run_replicates(get_model("pareto"), n, KPolicy.sqrt(), m, rng, log_scale=True)
-    assert via_flag.model_name == "log(pareto)"
+    via_log = run_replicates(transform_log(get_model("pareto")), n, KPolicy.sqrt(), m, rng)
+    assert via_log.model_name == "log(pareto)"
     k = select_k(KPolicy.sqrt(), n)
     for i in range(m):
         u = sorted_uniforms(n, rng.replicate(i))
         z = inverse_transform(get_model("pareto"), u)
         from gumbeltail.estimators import de_haan_resnick_log_scale
 
-        assert de_haan_resnick_log_scale(z, k) == via_flag.raw_t[i]
+        assert de_haan_resnick_log_scale(z, k) == via_log.raw_t[i]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_ks_distance_step_geometry():
     values = [gumbel_quantile((i - 0.5) / m, 1.0) for i in range(1, m + 1)]
     report = ks_distance(values, 1.0)
     assert report.ks == pytest.approx(0.5 / m, abs=1e-12)
-    assert report.m == m
+    assert report.threshold == 1.36 / math.sqrt(m)
     assert report.passed  # 0.005 < 1.36/10
 
 
@@ -228,6 +229,31 @@ def test_ks_threshold_override():
     assert not ks_distance(values, 1.0, threshold=0.001).passed
     default = ks_distance(values, 1.0)
     assert default.threshold == pytest.approx(1.36 / math.sqrt(m), rel=1e-12)
+
+
+def exact_exponential_cdf(y, k: int):
+    """Finite-k law of the normalized statistic for an Exp(1) parent: the
+    spacing X_{n,n} - X_{n-k,n} is the maximum of k iid Exp(1) (Renyi) and
+    a_n b_n = log k, so P(Z <= y) = (1 - e^{-y} / k)^k for y > -log k, at
+    every n."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y > -math.log(k), (1.0 - np.exp(-y) / k) ** k, 0.0)
+
+
+def test_exponential_replicates_follow_exact_finite_k_law():
+    # seed-free: every seed and cell is consistent with the exact law, and
+    # at k = 5 the Gumbel limit (gap about 0.058) is rejected on every seed
+    m = 2000
+    for seed in (1, 2, 3):
+        for n in (1000, 10000):
+            for spec in ("sqrt", "fixed:5"):
+                rs = run_replicates(get_model("exponential"), n, KPolicy.parse(spec), m,
+                                    RngSpec(seed=seed))
+                k = rs.constants.k
+                pvalue = stats.kstest(rs.normalized, lambda y: exact_exponential_cdf(y, k)).pvalue
+                assert pvalue > 1e-3, (seed, n, spec, pvalue)
+                if k == 5:
+                    assert not ks_distance(rs.normalized, 1.0).passed, (seed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +323,7 @@ def test_csv_round_trip():
     write_replicates_csv(rs, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "replicate,t_n,normalized"
-    assert len(lines) == 1 + rs.m
+    assert len(lines) == 1 + rs.raw_t.size
     idx, t, z = lines[1].split(",")
     assert int(idx) == 0
     assert float(t) == rs.raw_t[0]

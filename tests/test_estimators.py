@@ -83,8 +83,12 @@ def test_k_policy_intermediate_sequence(policy):
 def test_k_policy_parse_round_trip():
     for spec in ("sqrt", "logpow:2", "fixed:31"):
         assert KPolicy.parse(spec).spec() == spec
-    with pytest.raises(ValueError):
-        KPolicy.parse("nope:1")
+    for spec in ("nope:1", "sqrt:2", "logpow:", "logpow:abc", "fixed:2.5", "fixed:x"):
+        with pytest.raises(DomainError, match=f"^cannot parse k-policy spec: '{spec}'$"):
+            KPolicy.parse(spec)
+    # a well-formed number keeps the policy's own rule
+    with pytest.raises(DomainError, match="logpow policy requires a finite ell > 0"):
+        KPolicy.parse("logpow:-1")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +258,10 @@ def test_normalized_statistic_zero_scale():
 
 
 def test_normalized_statistic_mismatched_constants():
-    nc = NormingConstants(a_n=1.0, b_n=1.0, lam=None, n=11, k=3)
-    with pytest.raises(ValueError):
-        normalized_statistic(SortedSample(np.arange(10.0)), 3, nc)
+    for n, k in ((11, 3), (10, 4)):
+        nc = NormingConstants(a_n=1.0, b_n=1.0, lam=None, n=n, k=k)
+        with pytest.raises(DomainError, match=rf"computed for \(n={n}, k={k}\), sample has"):
+            normalized_statistic(SortedSample(np.arange(10.0)), 3, nc)
 
 
 # ---------------------------------------------------------------------------

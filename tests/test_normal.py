@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from gumbeltail.errors import DomainError
 from gumbeltail.normal import (
     normal_cdf,
     normal_pdf,
@@ -53,10 +54,9 @@ def test_round_trip():
 def test_endpoints_and_domain():
     assert normal_ppf(0.0) == -math.inf
     assert normal_ppf(1.0) == math.inf
-    with pytest.raises(ValueError):
-        normal_ppf(-0.1)
-    with pytest.raises(ValueError):
-        normal_ppf(1.1)
+    for p in (-0.1, 1.1, math.nan, np.array([0.5, 2.0])):
+        with pytest.raises(DomainError, match=r"p must lie in \[0, 1\]"):
+            normal_ppf(p)
 
 
 def test_upper_quantile_symmetry():

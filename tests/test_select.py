@@ -15,7 +15,7 @@ def exponential_grid(n: int) -> SortedSample:
     return SortedSample(-np.log(1.0 - u))
 
 
-def half_normal_grid(n: int) -> SortedSample:
+def sqrt_2e_grid(n: int) -> SortedSample:
     u = np.arange(1, n + 1) / (n + 1.0)
     return SortedSample(np.sqrt(-2.0 * np.log(1.0 - u)))
 
@@ -26,8 +26,8 @@ def test_exponential_grid_classified():
     assert verdict.score_exponential > verdict.score_normal
 
 
-def test_half_normal_grid_classified():
-    verdict = classify(half_normal_grid(4000), KPolicy.sqrt())
+def test_sqrt_2e_grid_classified():
+    verdict = classify(sqrt_2e_grid(4000), KPolicy.sqrt())
     assert verdict.chosen == NORMAL
     assert verdict.score_normal > verdict.score_exponential
 
@@ -60,8 +60,8 @@ def test_nonpositive_rejected():
 
 
 @pytest.mark.parametrize("sample", [
-    exponential_grid(4000), half_normal_grid(4000), exponential_grid(100),
-    half_normal_grid(777), SortedSample(np.full(500, 3.7)),
+    exponential_grid(4000), sqrt_2e_grid(4000), exponential_grid(100),
+    sqrt_2e_grid(777), SortedSample(np.full(500, 3.7)),
 ], ids=["exp-4000", "half-normal-4000", "exp-100", "half-normal-777", "constant"])
 @pytest.mark.parametrize("spec", ["sqrt", "logpow:2", "fixed:20"])
 def test_verdict_matches_classify(sample, spec):
