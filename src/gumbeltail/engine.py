@@ -81,7 +81,7 @@ def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
     generator = rng.generator()
     try:
         return generator.integers(0, 1 << 53, size=n)
-    except ValueError:  # numpy refuses the size before allocating
+    except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate") from None
 
 

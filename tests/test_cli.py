@@ -6,14 +6,19 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gumbeltail import engine
+from gumbeltail import cli, engine
 from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
+from gumbeltail.errors import GumbelTailError
+from gumbeltail.estimators import SortedSample
 
 GRID_T = 1.0092454329104992
 GRID_H = 0.9466319172089102
@@ -222,10 +227,9 @@ VALUE_LINES = st.one_of(
     st.lists(FINITE, max_size=300),
     st.lists(POSITIVE, min_size=100, max_size=300),
 ).map(lambda xs: [repr(x) for x in xs])
-BAD_LINES = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "", "   ", "1e400", "abc", "1,5"]),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-)
+BAD_WORDS = st.sampled_from(["nan", "inf", "-inf", "", "   ", "1e400", "abc", "1,5"])
+BAD_LINES = st.one_of(BAD_WORDS, st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+ASCII_BAD_LINES = st.one_of(BAD_WORDS, st.text(st.characters(max_codepoint=127), max_size=6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,6 +249,107 @@ def test_file_commands_exit_with_a_code_on_random_content(values, extra):
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
     finally:
         os.remove(path)
+
+
+def _reference_read(path):
+    """The per-line float() reader that numpy's C parser replaced, with the
+    two documented differences: numpy rejects Python-literal underscores
+    ("1_000"), and it strips the ASCII separators \\x1c-\\x1f around a number
+    as str.strip() does, where float() rejects them."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            if "_" in line:
+                raise GumbelTailError("non-numeric line")
+            try:
+                values.append(float(line.strip()))
+            except ValueError:
+                raise GumbelTailError("non-numeric line") from None
+    if len(values) < 2:
+        raise GumbelTailError("fewer than two values")
+    return SortedSample.from_values(values)
+
+
+def _read_outcome(reader, path):
+    """("ok", the sorted values' bits) or ("non-numeric" | "other", None)."""
+    try:
+        sample = reader(path)
+    except GumbelTailError as exc:
+        return ("non-numeric" if "non-numeric line" in str(exc) else "other"), None
+    return "ok", sample.values.view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=VALUE_LINES, extra=st.lists(ASCII_BAD_LINES, max_size=2),
+       at=st.integers(min_value=0, max_value=300), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       trailing=st.booleans())
+@example(values=["1.5", "-0.0", "0.0", "2.5"], extra=["1_000"], at=2, newline="\n", trailing=True)
+@example(values=["1.5", "2.5"], extra=["\x1c3\x1f", " "], at=1, newline="\r", trailing=False)
+@example(values=["1.5", "2.5"], extra=["3 4"], at=0, newline="\r\n", trailing=True)
+@example(values=[], extra=["1 2", "3 4"], at=0, newline="\n", trailing=True)
+@example(values=["1.5"], extra=["\v", "\t"], at=1, newline="\n", trailing=False)
+def test_sample_reader_agrees_with_per_line_float(values, extra, at, newline, trailing):
+    """The reader and float() of each line accept and reject the same ASCII
+    files, and the accepted samples agree bit for bit."""
+    lines = values[:at] + extra + values[at:]
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(newline.join(lines) + (newline if trailing else ""))
+        assert _read_outcome(cli._read_sample, path) == _read_outcome(_reference_read, path)
+    finally:
+        os.remove(path)
+
+
+# each file exits 2 from both file commands with one error line and no warning
+@pytest.mark.parametrize("content,message", [
+    ("1\n2\n1_000\n", "non-numeric line"),
+    ("1\n2\n\u0661\u0662\n", "non-numeric line"),
+    ("1 2\n", "non-numeric line"),
+    ("1\v2\n", "non-numeric line"),
+    ("", "fewer than two values"),
+    (" \n\t\n  \r\n", "fewer than two values"),
+], ids=["underscore", "arabic-indic-digits", "two-fields", "vertical-tab", "empty",
+        "whitespace-only"])
+@pytest.mark.parametrize("command", ["estimate", "test"])
+def test_sample_file_edges_exit_2(capsys, tmp_path, command, content, message):
+    path = tmp_path / "sample.txt"
+    path.write_bytes(content.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, str(path)])
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+
+
+def test_non_numeric_message_names_the_row(capsys, tmp_path):
+    path = tmp_path / "sample.txt"
+    path.write_text("\n".join([str(v) for v in range(1, 201)] + ["twelve"]))
+    code, out, err = run(capsys, ["estimate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: non-numeric line in {path}: could not convert string 'twelve' "
+                   "to float64 at row 200, column 1.\n")
+
+
+def test_sample_file_is_opened_as_text_by_the_cli(capsys, monkeypatch, grid_file, tmp_path):
+    """numpy never opens the path: a file named *.gz is read as plain text,
+    and the open the CLI module looks up sees the call."""
+    gz = tmp_path / "sample.gz"
+    shutil.copyfile(grid_file, gz)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, out, err = run(capsys, ["estimate", "--k", "31", str(gz)])
+    assert (code, err, opened) == (0, "", [str(gz)])
+    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    assert out.splitlines()[1:] == expected.splitlines()[1:]
 
 
 def test_help_exits_zero(capsys):
@@ -394,15 +499,20 @@ def test_ks_rejects_bad_threshold_before_drawing(capsys, monkeypatch):
     assert "threshold" in err and not out
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--model", "normal", "--n", "100000000000000000000", "--reps", "1"],
-    ["table", "--n-total", "100000000000000000000"],
-], ids=["simulate", "table"])
-def test_too_large_n_is_domain_error(capsys, argv):
-    # numpy refuses this size before allocating anything
-    code, out, err = run(capsys, argv)
+# numpy refuses n = 1e20 before allocating anything; n = 1e15 (7 PiB) passes
+# numpy's size check and fails in malloc at once, as a MemoryError
+@pytest.mark.parametrize("argv,n", [
+    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**20),
+    (["table", "--n-total", "<n>"], 10**20),
+    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**15),
+    (["ks", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**15),
+    (["table", "--n-total", "<n>"], 10**15),
+], ids=["simulate", "table", "simulate-malloc", "ks-malloc", "table-malloc"])
+def test_too_large_n_is_domain_error(capsys, argv, n):
+    code, out, err = run(capsys, [str(n) if arg == "<n>" else arg for arg in argv])
     assert code == 2 and not out
-    assert "n=100000000000000000000" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"n={n}" in err
 
 
 # full stdout of two log-scale runs; the log transform is applied by the
