@@ -71,23 +71,50 @@ def _get_model_checked(name: str):
         raise _UsageError(str(exc)) from None
 
 
+def _non_numeric(path: str, fh, detail: str) -> str:
+    """The message for a sample file that is not one number per line. It names
+    the first non-blank line of the open file that is not one ASCII decimal
+    number, counting lines from 1 with blank ones included, and falls back
+    to detail when the file cannot be read again or no line is bad."""
+    try:
+        fh.seek(0)
+        for number, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                if text.isascii() and "_" not in text:
+                    float(text)
+                    continue
+            except ValueError:
+                pass
+            return f"non-numeric line {number} in {path}: {text!r}"
+    except (OSError, UnicodeDecodeError):  # an unseekable stream, or bytes that are not UTF-8
+        pass
+    return f"non-numeric line in {path}: {detail}"
+
+
 def _read_sample(path: str) -> SortedSample:
     """The sample in a file of ASCII decimal numbers, one per line; blank
     lines are skipped. numpy parses the lines in C with the same correctly
     rounded conversion as float(). The file is opened here, not by numpy,
-    so a compressed-looking or URL-shaped path is read as plain text."""
+    so a compressed-looking or URL-shaped path is read as plain text. A file
+    numpy rejects is scanned again in Python, only to name its bad line."""
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             # an empty file is reported below, as a file of fewer than two values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            try:
+                values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise GumbelTailError(_non_numeric(path, fh, str(exc))) from None
+            if values.shape[1] != 1:
+                raise GumbelTailError(_non_numeric(
+                    path, fh, f"its lines hold {values.shape[1]} fields, not one number"))
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # UnicodeDecodeError included
+    except ValueError as exc:  # open refuses the path, as one with a NUL byte
         raise GumbelTailError(f"non-numeric line in {path}: {exc}") from None
-    if values.shape[1] != 1:
-        raise GumbelTailError(
-            f"non-numeric line in {path}: its lines hold {values.shape[1]} fields, not one number")
     if values.shape[0] < 2:
         raise GumbelTailError(f"{path} holds fewer than two values")
     return SortedSample.from_values(values[:, 0])

@@ -73,7 +73,6 @@ class KsReport:
     ks: float
     threshold: float
     passed: bool
-    scale_lambda: float
 
 
 def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
@@ -173,7 +172,7 @@ def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> 
     ks = float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1.0 / m - ref))))
     if threshold is None:
         threshold = 1.36 / math.sqrt(m)
-    return KsReport(ks=ks, threshold=threshold, passed=ks <= threshold, scale_lambda=lambda_scale)
+    return KsReport(ks=ks, threshold=threshold, passed=ks <= threshold)
 
 
 @dataclass(frozen=True)
@@ -191,28 +190,29 @@ class TableRow:
 def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
     """Three coupled estimators on nested prefixes of one uniform sample.
 
-    From a single sorted uniform sample of size n_total, each row n in
-    [n_total - 9, n_total] transforms the prefix u[:n] into exponential
-    (y = -log(1-u)), square-root-exponential (x = sqrt(2y)) and Pareto
-    (z = 1/(1-u)) samples and reports (log n / 2) T(y), (log n) T(x) and
-    T(z) on the log scale with k = floor(sqrt(n)), plus the upper gap
-    1 - u_(n). Because x = sqrt(2y), columns two and three agree exactly;
-    the row is rejected if they drift beyond 1e-12.
+    A single sorted uniform sample u of size n_total is transformed once
+    into exponential (y = -log(1-u)), square-root-exponential
+    (x = sqrt(2y)) and Pareto (z = 1/(1-u)) samples. Each row n in
+    [n_total - 9, n_total] reads the prefix of length n, through its top
+    index n-1 and its (n-k)-th index n-1-k, and reports (log n / 2) T(y),
+    (log n) T(x) and T(z) on the log scale with k = floor(sqrt(n)), plus
+    the upper gap 1 - u_(n). Because x = sqrt(2y), columns two and three
+    agree exactly; the row is rejected if they drift beyond 1e-12.
     """
     if n_total < 100:
         raise DomainError(f"need n_total >= 100, got {n_total}")
-    u_full = sorted_uniforms(n_total, rng)
+    u = sorted_uniforms(n_total, rng)
+    y = -np.log1p(-u)
+    x = np.sqrt(2.0 * y)
+    z = 1.0 / (1.0 - u)
     rows = []
     for n in range(n_total - 9, n_total + 1):
-        u = u_full[:n]
         k = math.floor(math.sqrt(n))
         log_k = math.log(k)
-        y = -np.log1p(-u)
-        x = np.sqrt(2.0 * y)
-        z = 1.0 / (1.0 - u)
-        t1 = (math.log(y[-1]) - math.log(y[-1 - k])) / log_k
-        t2 = (math.log(x[-1]) - math.log(x[-1 - k])) / log_k
-        t3 = (math.log(z[-1]) - math.log(z[-1 - k])) / log_k
+        top, kth = n - 1, n - 1 - k
+        t1 = (math.log(y[top]) - math.log(y[kth])) / log_k
+        t2 = (math.log(x[top]) - math.log(x[kth])) / log_k
+        t3 = (math.log(z[top]) - math.log(z[kth])) / log_k
         col2 = 0.5 * math.log(n) * t1
         col3 = math.log(n) * t2
         gap = col3 - col2
@@ -226,7 +226,7 @@ def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
                 half_log_n_t1=col2,
                 log_n_t2=col3,
                 t3=t3,
-                u_gap=float(1.0 - u[-1]),
+                u_gap=float(1.0 - u[top]),
                 identity_gap=gap,
             )
         )
@@ -276,5 +276,5 @@ def summarize(rs: ReplicateSet, report: KsReport | None = None) -> dict:
         out["ks"] = report.ks
         out["ks_threshold"] = report.threshold
         out["pass"] = report.passed
-        out["scale_lambda"] = report.scale_lambda
+        out["scale_lambda"] = rs.constants.lam
     return out

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -108,16 +109,24 @@ class KPolicy:
         return f"fixed:{self.k}"
 
 
+def _check_n_in_float_range(n: int) -> None:
+    """An n above the largest float cannot enter the float arithmetic of k/n
+    and 1/n. The message keeps n an int: formatting it as a float overflows."""
+    if n > sys.float_info.max:
+        raise DomainError(f"n={n} is beyond the float range")
+
+
 def select_k(policy: KPolicy, n: int) -> int:
     """Evaluate a k-policy at sample size n.
 
     The computed k is clamped up to 2 (log k must stay positive) and must
     satisfy k < n. Raises DomainError for an infeasible fixed k, for n < 4
-    and when the computed k cannot fit below n (including log(n) ** ell
-    overflowing a float).
+    or above the float range, and when the computed k cannot fit below n
+    (including log(n) ** ell overflowing a float).
     """
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
+    _check_n_in_float_range(n)
     if policy.kind == "fixed":
         k = int(policy.k)
         if k <= 1 or k >= n:
@@ -139,6 +148,7 @@ def select_k(policy: KPolicy, n: int) -> int:
 
 
 def _check_k(k: float, n: int) -> None:
+    _check_n_in_float_range(n)
     if not 2 <= k < n:
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
 

@@ -1,0 +1,45 @@
+"""The package attributes that the benchmark's tracer patches must exist,
+and must come back unchanged: a rename that the tracer does not know of
+would otherwise pass the suite and break only the traced benchmark run."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from gumbeltail import cli, engine, estimators, models, normal, select
+from gumbeltail.cli import dispatch
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MODULES = (cli, engine, estimators, models, normal, select)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_seams_exist_and_are_restored():
+    tracing = _load_tracing()
+    before = {module: dict(vars(module)) for module in MODULES}
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [dispatch(["table", "--n-total", "200"]),
+                     dispatch(["norming", "--model", "log-normal", "--n", "10000",
+                               "--format", "json"])]
+    finally:
+        tracing.uninstall(saved)
+    assert codes == [0, 0]
+    # every patched attribute but the shadowed builtin open was there to patch
+    added = [f"{module.__name__}.{attr}" for module, attr, _ in saved
+             if attr not in before[module]]
+    assert added == ["gumbeltail.cli.open"]
+    assert all(vars(module).get(attr) is before[module].get(attr) for module, attr, _ in saved)
+    spans = tracer.snapshot({None})["spans"]
+    assert spans["engine.reproduce_table"]["calls"] == 1
+    assert spans["models.norming"]["calls"] >= 1
+    assert spans["models.lambda_ratio"]["calls"] == 4

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -200,11 +201,14 @@ def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
     depth=st.integers(),
     seed=st.integers(min_value=-(2**70), max_value=2**70),
     stream=st.integers(min_value=-(2**70), max_value=2**70),
+    # norming only: it allocates nothing, whatever the size
+    n=st.integers(max_value=2**1100),
 )
-def test_dispatch_exits_with_a_code_on_random_input(ell, depth, seed, stream):
+def test_dispatch_exits_with_a_code_on_random_input(ell, depth, seed, stream, n):
     argvs = [
         NORMING + ["--k-policy", f"logpow:{ell!r}"],
         ["norming", "--model", f"iterlog({depth})", "--n", "10000"],
+        ["norming", "--model", "normal", "--n", str(n)],
         ["simulate", "--model", "normal", "--n", "50", "--reps", "2",
          "--seed", str(seed), "--stream", str(stream)],
     ]
@@ -330,8 +334,44 @@ def test_non_numeric_message_names_the_row(capsys, tmp_path):
     path.write_text("\n".join([str(v) for v in range(1, 201)] + ["twelve"]))
     code, out, err = run(capsys, ["estimate", str(path)])
     assert (code, out) == (2, "")
-    assert err == (f"error: non-numeric line in {path}: could not convert string 'twelve' "
-                   "to float64 at row 200, column 1.\n")
+    assert err == f"error: non-numeric line 201 in {path}: 'twelve'\n"
+
+
+# blank lines count toward the line number; the text is the stripped line
+@pytest.mark.parametrize("content,line", [
+    ("1\n2\n\n\n3\nabc\n4", "6: 'abc'"),
+    ("1\n2 3\n4\n5", "2: '2 3'"),
+    ("1 2\n3 4\n", "1: '1 2'"),
+    ("1\r2\r\r x \r", "4: 'x'"),
+], ids=["after-blank-lines", "two-fields-once", "two-fields-throughout", "cr-newlines"])
+def test_non_numeric_message_names_the_file_line(capsys, tmp_path, content, line):
+    path = tmp_path / "sample.txt"
+    path.write_bytes(content.encode("ascii"))
+    number, text = line.split(": ")
+    code, out, err = run(capsys, ["estimate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: non-numeric line {number} in {path}: {text}\n"
+
+
+def test_unseekable_sample_keeps_numpy_message(capsys, tmp_path):
+    # a pipe cannot be read a second time to find the bad line
+    fifo = tmp_path / "sample.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("1\n2\nabc\n",), daemon=True)
+    writer.start()
+    code, out, err = run(capsys, ["estimate", str(fifo)])
+    writer.join(timeout=10)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: non-numeric line in {fifo}: could not convert string 'abc'")
+
+
+def test_invalid_utf8_keeps_the_decoder_message(capsys, tmp_path):
+    path = tmp_path / "sample.txt"
+    path.write_bytes(b"1\n2\n\xff\n")
+    code, out, err = run(capsys, ["estimate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: non-numeric line in {path}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 4: invalid start byte\n")
 
 
 def test_sample_file_is_opened_as_text_by_the_cli(capsys, monkeypatch, grid_file, tmp_path):
@@ -513,6 +553,31 @@ def test_too_large_n_is_domain_error(capsys, argv, n):
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"n={n}" in err
+
+
+# an n above the largest float cannot enter the float arithmetic of norming
+@pytest.mark.parametrize("argv", [
+    ["norming", "--model", "normal", "--n", str(10**400)],
+    ["norming", "--model", "normal", "--n", str(10**400), "--k-policy", "logpow:2"],
+    ["norming", "--model", "normal", "--n", str(10**400), "--k", "5"],
+    ["simulate", "--model", "normal", "--n", str(10**400), "--reps", "1"],
+    ["ks", "--model", "normal", "--n", str(10**400), "--reps", "1"],
+], ids=["norming-sqrt", "norming-logpow", "norming-fixed-k", "simulate", "ks"])
+def test_n_beyond_float_range_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beyond the float range" in err
+
+
+def test_lambda_probe_beyond_float_range_is_none(capsys):
+    code, out, _ = run(capsys, ["norming", "--model", "normal", "--n", str(10**306),
+                                "--format", "json"])
+    assert code == 0
+    probe = json.loads(out)["lambda_probe"]
+    assert list(probe) == [str(10**e) for e in (306, 307, 308, 309)]
+    assert probe[str(10**309)] is None
+    assert all(value is not None for key, value in probe.items() if key != str(10**309))
 
 
 # full stdout of two log-scale runs; the log transform is applied by the

@@ -66,6 +66,17 @@ def test_select_k_too_small_n():
         select_k(KPolicy.log_power(1000.0), 10**4)
 
 
+@pytest.mark.parametrize("policy", [KPolicy.sqrt(), KPolicy.log_power(2.0), KPolicy.fixed(5)])
+def test_n_above_float_range_is_rejected(policy):
+    # the largest finite float is an int below 2**1024; one more is out of range
+    top = int(np.finfo(float).max)
+    assert select_k(policy, top) >= 2
+    with pytest.raises(DomainError, match=r"n=\d+ is beyond the float range"):
+        select_k(policy, top + 1)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        norming(get_model("normal"), 10**400, 5)
+
+
 def test_select_k_clamps_to_two():
     assert select_k(KPolicy.log_power(0.1), 100) == 2
 

@@ -18,7 +18,6 @@ def _load(name: str):
 
 
 @pytest.mark.parametrize("name,args,last_line", [
-    ("run_table", ["--n-total", "200"], "max column-identity gap"),
     ("convergence_study", ["--n-grid", "1000", "--reps", "20"], "iterlog(1)"),
     ("classifier_power", ["--n-grid", "400", "--reps", "5"], "400"),
 ])
