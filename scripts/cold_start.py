@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Cold-start wall time of each gumbeltail command, one fresh process per run.
+
+Each run starts a new interpreter that imports the package from a source
+tree and runs one command line, as the installed ``gumbeltail`` script
+does; the time covers interpreter start-up, imports and the command. One
+untimed run per command and tree comes first: it warms the file cache and
+records which scipy modules the command loads. The timed repeats alternate:
+each round runs every command on every tree, and the order of commands and
+of trees reverses from one round to the next, so that drift on a shared host
+falls on all of them alike. The median per command and tree is printed and
+written, with every run, to BENCH_<label>.json in the current directory.
+
+Usage:
+    python scripts/cold_start.py --label local --repeats 9
+    python scripts/cold_start.py --label cmp --src parent=/tmp/parent/src --src change=src
+    python scripts/cold_start.py --label smoke --commands table --repeats 1
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SAMPLE = "<sample>"  # stands for the sample file written for estimate and test
+COMMANDS = {
+    "estimate": ["estimate", SAMPLE],
+    "test": ["test", SAMPLE],
+    "table": ["table"],
+    "norming": ["norming", "--model", "exp-of-log", "--n", "1000000"],
+    "norming-quadrature": ["norming", "--model", "log-normal", "--n", "1000000"],
+    "ks": ["ks", "--model", "exp-of-log", "--n", "1000", "--reps", "50"],
+    "ks-normal": ["ks", "--model", "normal", "--n", "1000", "--reps", "50"],
+    "simulate": ["simulate", "--model", "pareto", "--n", "1000", "--reps", "50"],
+}
+
+_RUN = "from gumbeltail.cli import main\nmain()\n"
+_PROBE = (
+    "import atexit, sys\n"
+    "import gumbeltail\n"
+    "atexit.register(lambda: print(gumbeltail.__file__, *sorted(m for m in sys.modules\n"
+    "    if m in ('scipy.integrate', 'scipy.special')), file=sys.stderr))\n"
+    "from gumbeltail.cli import main\nmain()\n"
+)
+
+
+def _write_sample(directory: str) -> str:
+    """1000 exponential quantiles log((n + 1) / i), one per line."""
+    n = 1000
+    path = os.path.join(directory, "sample.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{math.log((n + 1) / i)!r}\n" for i in range(1, n + 1))
+    return path
+
+
+def _run(code: str, argv: list, src: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+    if done.returncode != 0:
+        sys.exit(f"cold_start: {' '.join(argv)} on {src} exited {done.returncode}: "
+                 f"{done.stderr.strip()}")
+    return done
+
+
+def _probe(argv: list, src: Path) -> list:
+    """Run once untimed; return the scipy modules the command loaded."""
+    cli_file, *loaded = _run(_PROBE, argv, src).stderr.split()
+    if src.resolve() not in Path(cli_file).resolve().parents:
+        sys.exit(f"cold_start: imported {cli_file}, not the tree {src}")
+    return loaded
+
+
+def _timed(argv: list, src: Path) -> float:
+    t0 = time.perf_counter()
+    _run(_RUN, argv, src)
+    return time.perf_counter() - t0
+
+
+def _tree(spec: str) -> tuple:
+    side, sep, path = spec.rpartition("=")
+    src = Path(path)
+    if not (src / "gumbeltail" / "cli.py").is_file():
+        raise argparse.ArgumentTypeError(f"no gumbeltail sources under {src}")
+    return (side if sep else str(src)), src
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="the output file is BENCH_<label>.json")
+    parser.add_argument("--repeats", type=int, default=7, help="timed runs per command and tree")
+    parser.add_argument("--commands", nargs="+", choices=list(COMMANDS), default=list(COMMANDS))
+    parser.add_argument("--src", type=_tree, action="append", metavar="[NAME=]DIR",
+                        help="a source tree to import gumbeltail from; repeat to compare trees "
+                             "(default: src/ of this checkout)")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    trees = dict(args.src or [_tree(f"src={ROOT / 'src'}")])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sample = _write_sample(tmp)
+        argvs = {name: [sample if a == SAMPLE else a for a in COMMANDS[name]] for name in args.commands}
+        loaded = {side: {name: _probe(argvs[name], src) for name in argvs}
+                  for side, src in trees.items()}
+        runs = {side: {name: [] for name in argvs} for side in trees}
+        for rnd in range(args.repeats):
+            step = 1 if rnd % 2 == 0 else -1
+            for name in list(argvs)[::step]:
+                for side in list(trees)[::step]:
+                    runs[side][name].append(_timed(argvs[name], trees[side]))
+
+    medians = {side: {name: statistics.median(times) for name, times in by_name.items()}
+               for side, by_name in runs.items()}
+    print(f"{'command':>20} " + " ".join(f"{side:>12}" for side in trees) + "  scipy loaded")
+    for name in argvs:
+        cells = " ".join(f"{medians[side][name]:>11.3f}s" for side in trees)
+        mods = " | ".join(" ".join(loaded[side][name]) or "-" for side in trees)
+        print(f"{name:>20} {cells}  {mods}")
+
+    doc = {
+        "label": args.label,
+        "command": "python scripts/cold_start.py " + " ".join(sys.argv[1:]),
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": numpy.__version__, "machine": platform.machine()},
+        "repeats": args.repeats,
+        "order": "round r runs commands and trees in listed order for even r, reversed for odd r",
+        "commands": {name: " ".join(COMMANDS[name]) for name in argvs},
+        "trees": {side: str(src) for side, src in trees.items()},
+        "scipy_loaded": loaded,
+        "median_s": medians,
+        "runs_s": runs,
+    }
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -207,7 +207,7 @@ def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
     z = 1.0 / (1.0 - u)
     rows = []
     for n in range(n_total - 9, n_total + 1):
-        k = math.floor(math.sqrt(n))
+        k = math.isqrt(n)
         log_k = math.log(k)
         top, kth = n - 1, n - 1 - k
         t1 = (math.log(y[top]) - math.log(y[kth])) / log_k

@@ -133,7 +133,7 @@ def select_k(policy: KPolicy, n: int) -> int:
             raise DomainError(f"fixed k={k} infeasible for n={n}")
         return k
     if policy.kind == "sqrt":
-        k = math.floor(math.sqrt(n))
+        k = math.isqrt(n)
     else:
         try:
             k = math.floor(math.log(n) ** policy.ell)

@@ -8,6 +8,9 @@ closed form where one exists (``aux_exact`` says whether that form is exact
 or an asymptotic head), and recovered numerically otherwise, preferring the
 derivative form rho(u) = u Q'(1 - u) and falling back to the mean excess
 R(Q(1 - u)) by quadrature. The three routes agree in the u -> 0 limit.
+
+Only the quadrature route loads scipy.integrate, when it first runs; the
+normal-family quantiles and survivals load scipy.special (see normal.py).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AuxNotVanishing, DomainError
 from .estimators import _check_k
@@ -134,6 +136,8 @@ def mean_excess_R(model: TailModel, t: float) -> float:
     if st <= 1e-300:
         raise DomainError(f"survival underflows at t={t} for {model.name!r}")
     upper = _tail_cutoff(model, t, _TAIL_TRUNCATION * st)
+    from scipy import integrate  # here, not at module level: it is slow to import
+
     integral, _ = integrate.quad(
         lambda v: float(model.sf(v)), t, upper, epsrel=_QUAD_RTOL, limit=200
     )

@@ -6,12 +6,14 @@ error below 1e-13 on (0, 1) wherever exp(z^2/2) is representable.
 Refinement is skipped for |z| > 37.5 (p below ~4.6e-308), where
 exp(z^2/2) would overflow and the raw approximation is already the best
 double-precision answer available.
+
+erfc is scipy.special's, imported by the first call that needs it, so that
+importing this module (and the command line) does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -31,14 +33,24 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
+def _erfc(x):
+    """scipy.special.erfc, imported on the first call, which rebinds this
+    name to the ufunc itself: later calls cost nothing extra."""
+    global _erfc
+    from scipy.special import erfc
+
+    _erfc = erfc
+    return erfc(x)
+
+
 def normal_cdf(x):
     """Phi(x) via erfc, accurate in both tails."""
-    return 0.5 * special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def normal_sf(x):
     """Upper tail 1 - Phi(x) without cancellation."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def normal_pdf(x):
@@ -92,7 +104,7 @@ def normal_ppf(p):
         refine = np.abs(zi) <= 37.5
         if np.any(refine):
             zr = zi[refine]
-            e = 0.5 * special.erfc(-zr / _SQRT2) - ph[refine]
+            e = 0.5 * _erfc(-zr / _SQRT2) - ph[refine]
             u = e * _SQRT2PI * np.exp(0.5 * zr * zr)
             zi[refine] = zr - u / (1.0 + 0.5 * zr * u)
         z[inner] = np.where(upper, -zi, zi)

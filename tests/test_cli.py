@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -578,6 +580,52 @@ def test_lambda_probe_beyond_float_range_is_none(capsys):
     assert list(probe) == [str(10**e) for e in (306, 307, 308, 309)]
     assert probe[str(10**309)] is None
     assert all(value is not None for key, value in probe.items() if key != str(10**309))
+
+
+def test_norming_sqrt_k_is_exact_above_2_to_52(capsys):
+    code, out, _ = run(capsys, ["norming", "--model", "normal", "--n", str(10**306),
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["k"] == 10**153
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is imported by the code that uses it, not by the CLI
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this gumbeltail."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_estimate_and_table_do_not_import_scipy(grid_file):
+    proc = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from gumbeltail import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.dispatch(['estimate', {grid_file!r}]),\n"
+        "             cli.dispatch(['table', '--n-total', '200'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert proc.stdout == "[0, 0] []\n"
+
+
+def test_quadrature_route_imports_scipy_integrate_on_first_use(capsys):
+    argv = ["norming", "--model", "log-normal", "--n", "10000", "--format", "json"]
+    proc = _fresh_python(
+        "import sys\n"
+        "from gumbeltail import cli\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        f"code = cli.dispatch({argv!r})\n"
+        "print(code, before, 'scipy.integrate' in sys.modules, file=sys.stderr)\n"
+    )
+    assert proc.stderr == "0 False True\n"
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and proc.stdout == out
 
 
 # full stdout of two log-scale runs; the log transform is applied by the

@@ -77,6 +77,16 @@ def test_n_above_float_range_is_rejected(policy):
         norming(get_model("normal"), 10**400, 5)
 
 
+@pytest.mark.parametrize("m", [3, 63, 2**26 + 1, 10**8 + 1, 10**20 + 7, 10**153],
+                         ids=["3", "63", "2**26+1", "10**8+1", "10**20+7", "10**153"])
+def test_select_k_sqrt_is_exact_at_square_boundaries(m):
+    # k = floor(sqrt(n)) in integers: a float sqrt rounds m**2 - 1 up to m
+    # once n passes 2**52
+    assert select_k(KPolicy.sqrt(), m * m - 1) == m - 1
+    assert select_k(KPolicy.sqrt(), m * m) == m
+    assert select_k(KPolicy.sqrt(), m * m + 2 * m) == m
+
+
 def test_select_k_clamps_to_two():
     assert select_k(KPolicy.log_power(0.1), 100) == 2
 

@@ -2,6 +2,7 @@
 must run to the end against the current package API."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -40,3 +41,15 @@ def test_classifier_power_output(capsys, monkeypatch):
         "     400        86.7%         96.7%",
         "    2000        96.7%        100.0%",
     ]
+
+
+def test_cold_start_times_one_command(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cold_start.py", "--label", "smoke", "--commands", "table",
+                                      "--repeats", "1"])
+    _load("cold_start").main()
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_smoke.json"
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    assert list(doc["runs_s"]) == ["src"] and len(doc["runs_s"]["src"]["table"]) == 1
+    assert doc["median_s"]["src"]["table"] > 0.0
+    assert doc["scipy_loaded"] == {"src": {"table": []}}
