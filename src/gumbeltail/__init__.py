@@ -27,7 +27,6 @@ from .estimators import (
     de_haan_resnick,
     de_haan_resnick_log_scale,
     hill,
-    normalized_statistic,
     select_k,
 )
 from .models import (
@@ -40,13 +39,12 @@ from .models import (
     mason_quantile,
     mean_excess_R,
     model_names,
-    model_quantile,
     norming,
     rho_numeric,
     transform_exp,
     transform_log,
 )
-from .normal import normal_cdf, normal_pdf, normal_ppf, normal_sf, normal_upper_quantile
+from .normal import normal_cdf, normal_ppf, normal_sf, normal_upper_quantile
 from .select import ModelVerdict, classify, verdict
 
 __version__ = "0.1.0"
@@ -78,13 +76,10 @@ __all__ = [
     "mason_quantile",
     "mean_excess_R",
     "model_names",
-    "model_quantile",
     "normal_cdf",
-    "normal_pdf",
     "normal_ppf",
     "normal_sf",
     "normal_upper_quantile",
-    "normalized_statistic",
     "norming",
     "reproduce_table",
     "rho_numeric",

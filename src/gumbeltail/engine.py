@@ -5,9 +5,10 @@ Reproducibility contract
 Uniform variates come from numpy's PCG64 bit generator seeded with
 ``SeedSequence([seed, stream_id])``; replicate i of a run uses stream
 ``stream_id + i``, so replicates are independent and each one's output
-depends only on its index. Raw draws are mapped to the open-interval
-lattice ``(j + 0.5) / 2**53`` for j in [0, 2**53), which keeps every value
-strictly inside (0, 1).
+depends only on its index. Raw draws j in [0, 2**53) are mapped to
+``(j + 0.5) / 2**53``; above 1/2 that value is rounded to a double, and
+the top draw, which rounds to 1, is mapped to the largest double below 1.
+The map is non-decreasing and keeps every value strictly inside (0, 1).
 
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
@@ -85,7 +86,8 @@ def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
 
 
 def _open_uniforms(j: np.ndarray) -> np.ndarray:
-    return (j + 0.5) * 2.0 ** -53
+    u = (j + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:

@@ -14,14 +14,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .models import NormingConstants
 
 
 @dataclass(frozen=True)
@@ -184,24 +180,3 @@ def hill(s: SortedSample, k: int) -> float:
     if not math.isfinite(mean):
         raise DomainError(f"H_n overflows a float at k={k}")
     return mean
-
-
-def normalized_statistic(s: SortedSample, k: int, nc: "NormingConstants") -> float:
-    """Centered and scaled max spacing, (X_{n,n} - X_{n-k,n} - a_n b_n) / a_n.
-
-    Algebraically equal to (log k / a_n) T_n - b_n; under the limit theorem
-    this converges in law to a lambda-scaled Gumbel variable.
-    """
-    n = s.n
-    _check_k(k, n)
-    if nc.n != n or int(nc.k) != k:
-        raise DomainError(
-            f"norming constants computed for (n={nc.n}, k={nc.k}), sample has (n={n}, k={k})"
-        )
-    if nc.a_n <= 0.0:
-        raise DomainError(f"a_n must be positive, got {nc.a_n}")
-    spacing = float(s.values[n - 1]) - float(s.values[n - 1 - k])
-    z = (spacing - nc.a_n * nc.b_n) / nc.a_n
-    if not math.isfinite(z):
-        raise DomainError(f"normalized statistic overflows a float at k={k}")
-    return z

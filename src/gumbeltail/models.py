@@ -75,12 +75,6 @@ def _check_u(u: float) -> None:
         raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
 
 
-def model_quantile(model: TailModel, u: float) -> float:
-    """Checked evaluation of Q(1 - u) for u strictly inside (0, 1)."""
-    _check_u(u)
-    return float(model.quantile(u))
-
-
 def rho_numeric(model: TailModel, u: float) -> float:
     """u Q'(1 - u) by central finite difference with relative step 1e-5.
 
@@ -156,7 +150,8 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
 
     a_n = r(k/n), with r the cataloged aux_r when present, else the numeric
     derivative; b_n from the quantile difference; lam is the finite-n scale
-    ratio r(1/n) / r(k/n), or None when it cannot be evaluated.
+    ratio r(1/n) / r(k/n), or None when it cannot be evaluated. Raises
+    DomainError unless a_n > 0 and b_n is finite.
     """
     _check_k(k, n)
     r = _aux(model)
@@ -165,6 +160,8 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     if not a_n > 0.0:
         raise DomainError(f"a_n = {a_n} must be positive")
     b_n = (float(model.quantile(1.0 / n)) - float(model.quantile(uk))) / a_n
+    if not math.isfinite(b_n):
+        raise DomainError(f"b_n = {b_n} is not finite: a quantile of {model.name!r} overflows")
     try:
         lam = float(r(1.0 / n)) / a_n
     except (OverflowError, ValueError):
@@ -221,6 +218,10 @@ def transform_log(model: TailModel) -> TailModel:
     if model.survival is not None and model.mean_excess_finite:
         def aux(u: float) -> float:  # noqa: F811
             q = float(base_q(u))
+            if not q > 0.0:
+                raise DomainError(
+                    f"log-scale aux of {model.name!r} needs Q(1 - u) > 0, got Q(1 - {u:g}) = {q}"
+                )
             return mean_excess_R(model, q) / q
 
     b = model.lower_endpoint

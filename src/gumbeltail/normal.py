@@ -1,4 +1,4 @@
-"""Standard normal CDF, survival, density and a high-accuracy inverse CDF.
+"""Standard normal CDF, survival and a high-accuracy inverse CDF.
 
 The inverse uses Acklam's rational approximation followed by one Halley
 refinement step against the erfc-based CDF, which brings the absolute
@@ -53,11 +53,6 @@ def normal_sf(x):
     return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
-def normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / _SQRT2PI
-
-
 def _acklam_lower_half(p: np.ndarray) -> np.ndarray:
     """Raw approximation on (0, 0.5], where the lower-tail branch is exact
     to work with (no 1 - p cancellation)."""
@@ -99,12 +94,12 @@ def normal_ppf(p):
         upper = pi > 0.5
         ph = np.where(upper, 1.0 - pi, pi)
         zi = _acklam_lower_half(ph)
-        # One Halley step against the erfc CDF; skipped only where
+        # One Halley step against normal_cdf; skipped only where
         # exp(z^2/2) would overflow (|z| > 37.5, p below ~1e-307).
         refine = np.abs(zi) <= 37.5
         if np.any(refine):
             zr = zi[refine]
-            e = 0.5 * _erfc(-zr / _SQRT2) - ph[refine]
+            e = normal_cdf(zr) - ph[refine]
             u = e * _SQRT2PI * np.exp(0.5 * zr * zr)
             zi[refine] = zr - u / (1.0 + 0.5 * zr * u)
         z[inner] = np.where(upper, -zi, zi)

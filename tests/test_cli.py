@@ -185,6 +185,8 @@ SIMULATE = ["simulate", "--model", "normal", "--n", "1000", "--reps", "2"]
     ["estimate", "<inf>"],
     ["test", "<nan>"],
     ["test", "<inf>"],
+    ["ks", "--model", "normal", "--n", "4", "--log-scale"],
+    ["simulate", "--model", "normal", "--n", "10", "--k", "5", "--log-scale"],
 ])
 def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):
@@ -195,6 +197,21 @@ def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
     code, _, err = run(capsys, argv)
     assert code in (1, 2)
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # k/n = 1/2 puts the log-scale aux at Q(1/2) = 0, a division by zero
+    ["ks", "--model", "normal", "--n", "4", "--log-scale"],
+    ["simulate", "--model", "normal", "--n", "10", "--k", "5", "--log-scale"],
+    # m / n underflows to 0, so Q(1 - 1/n) is inf and b_n inf or nan
+    ["norming", "--model", "iterlog(3)", "--n", str(10**280)],
+    ["norming", "--model", "iterlog(3)", "--n", str(10**300), "--k-policy", "logpow:1",
+     "--format", "json"],
+])
+def test_degenerate_norming_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @settings(max_examples=100, deadline=None)

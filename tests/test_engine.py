@@ -10,6 +10,7 @@ from scipy import stats
 
 from gumbeltail.engine import (
     RngSpec,
+    _open_uniforms,
     gumbel_cdf,
     inverse_transform,
     ks_distance,
@@ -20,7 +21,7 @@ from gumbeltail.engine import (
     write_replicates_csv,
 )
 from gumbeltail.errors import DomainError
-from gumbeltail.estimators import KPolicy, de_haan_resnick, normalized_statistic, select_k
+from gumbeltail.estimators import KPolicy, de_haan_resnick, select_k
 from gumbeltail.models import get_model, norming, transform_log
 
 EULER_GAMMA = 0.5772156649015329
@@ -43,6 +44,17 @@ def test_sorted_uniforms_contract():
     u = sorted_uniforms(5000, RngSpec(seed=1))
     assert np.all(np.diff(u) >= 0.0)
     assert u[0] > 0.0 and u[-1] < 1.0
+
+
+def test_open_uniforms_top_of_lattice():
+    # (j + 0.5) / 2**53 rounds to 1.0 at the top draw; it must stay below 1
+    j = np.array([0, 2**52, 2**53 - 2, 2**53 - 1])
+    u = _open_uniforms(j)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.all(np.diff(u) >= 0.0)
+    assert u[-1] == np.nextafter(1.0, 0.0)
+    assert np.array_equal(u[:-1], (j[:-1] + 0.5) * 2.0 ** -53)
+    assert np.all(np.isfinite(get_model("pareto").quantile(1.0 - u)))
 
 
 def test_sorted_uniforms_mean():
@@ -89,6 +101,14 @@ def test_run_replicates_deterministic():
     assert np.array_equal(a.normalized, b.normalized)
 
 
+def _normalized(values, k, nc):
+    """The centred spacing (X_{n,n} - X_{n-k,n} - a_n b_n) / a_n of an
+    ascending reference sample."""
+    n = values.size
+    spacing = float(values[n - 1]) - float(values[n - 1 - k])
+    return (spacing - nc.a_n * nc.b_n) / nc.a_n
+
+
 def test_run_replicates_matches_sorted_reference_path():
     # the partition shortcut must agree bit for bit with sorting the same
     # stream, transforming the whole sample and applying the estimators
@@ -102,7 +122,7 @@ def test_run_replicates_matches_sorted_reference_path():
         u = sorted_uniforms(n, rng.replicate(i))
         sample = inverse_transform(model, u)
         assert de_haan_resnick(sample, k) == rs.raw_t[i]
-        assert normalized_statistic(sample, k, nc) == rs.normalized[i]
+        assert _normalized(sample.values, k, nc) == rs.normalized[i]
 
 
 @pytest.mark.parametrize("name,log_scale", [
@@ -122,7 +142,7 @@ def test_run_replicates_batched_quantile_matches_reference(name, log_scale):
     for i in range(m):
         sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
         assert de_haan_resnick(sample, k) == rs.raw_t[i]
-        assert normalized_statistic(sample, k, nc) == rs.normalized[i]
+        assert _normalized(sample.values, k, nc) == rs.normalized[i]
 
 
 def test_run_replicates_requires_a_replicate():

@@ -14,10 +14,9 @@ from gumbeltail.estimators import (
     de_haan_resnick,
     de_haan_resnick_log_scale,
     hill,
-    normalized_statistic,
     select_k,
 )
-from gumbeltail.models import NormingConstants, get_model, norming
+from gumbeltail.models import get_model, norming
 
 # Deterministic log-Pareto grid: values log((n+1)/i), i = 1..n. The top
 # spacing at (n=1000, k=31) telescopes to log 32, so T = log 32 / log 31
@@ -246,46 +245,6 @@ def test_grid_estimates_near_one_for_large_n():
 
 
 # ---------------------------------------------------------------------------
-# normalized statistic
-
-
-def test_normalized_statistic_centering_cancels():
-    nc = NormingConstants(a_n=0.5, b_n=3.0, lam=1.0, n=21, k=4)
-    values = np.concatenate([np.linspace(0.0, 1.0, 20), [1.0 + 1.5]])
-    # spacing = values[-1] - values[-1-4] = 1.5 + gap contribution
-    spacing = values[-1] - values[-1 - 4]
-    expected = (spacing - 1.5) / 0.5
-    got = normalized_statistic(SortedSample(values), 4, nc)
-    assert got == pytest.approx(expected, abs=1e-14)
-
-
-def test_normalized_statistic_closed_form_example():
-    # spacing exactly 1 under the doubly-exponential model at n=1e6, k=1000:
-    # a_n = 1/log 1000, a_n b_n = log 2 -> (1 - log 2) * log 1000
-    n, k = 10**6, 1000
-    a_n = 1.0 / math.log(1000.0)
-    b_n = math.log(2.0) / a_n
-    nc = NormingConstants(a_n=a_n, b_n=b_n, lam=0.5, n=n, k=k)
-    values = np.zeros(n)
-    values[-1] = 1.0
-    got = normalized_statistic(SortedSample(values), k, nc)
-    assert got == pytest.approx(2.11966418335759, abs=1e-12)
-
-
-def test_normalized_statistic_zero_scale():
-    nc = NormingConstants(a_n=0.0, b_n=1.0, lam=None, n=10, k=3)
-    with pytest.raises(DomainError, match="a_n must be positive, got 0.0"):
-        normalized_statistic(SortedSample(np.arange(10.0)), 3, nc)
-
-
-def test_normalized_statistic_mismatched_constants():
-    for n, k in ((11, 3), (10, 4)):
-        nc = NormingConstants(a_n=1.0, b_n=1.0, lam=None, n=n, k=k)
-        with pytest.raises(DomainError, match=rf"computed for \(n={n}, k={k}\), sample has"):
-            normalized_statistic(SortedSample(np.arange(10.0)), 3, nc)
-
-
-# ---------------------------------------------------------------------------
 # SortedSample
 
 
@@ -301,10 +260,3 @@ def test_sorted_sample_validation():
     assert list(s.values) == [1.0, 2.0, 3.0]
     assert s.n == 3
 
-
-@pytest.mark.filterwarnings("error")
-def test_normalized_statistic_overflow():
-    values = np.array([-1.7e308] * 200 + [1.7e308] * 3)
-    nc = norming(get_model("exponential"), 203, 14)
-    with pytest.raises(DomainError):
-        normalized_statistic(SortedSample(values), 14, nc)

@@ -21,13 +21,12 @@ from gumbeltail.models import (
     mason_quantile,
     mean_excess_R,
     model_names,
-    model_quantile,
     norming,
     rho_numeric,
     transform_exp,
     transform_log,
 )
-from gumbeltail.normal import normal_pdf, normal_sf, normal_upper_quantile
+from gumbeltail.normal import normal_sf, normal_upper_quantile
 
 # Frozen oracles (derivations in comments; all recomputed independently here
 # or in the session that froze them).
@@ -39,26 +38,24 @@ A_N_EOL = 0.14476482730108395        # 1 / log(1000)
 GUMBEL_MODELS = ("exp-of-log", "normal")
 
 
+def _phi(x: float) -> float:
+    """The standard normal density."""
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 
 
 def test_exp_of_log_quantile_unit_point():
     model = get_model("exp-of-log")
-    assert model_quantile(model, math.exp(-math.e)) == pytest.approx(1.0, abs=1e-12)
+    assert float(model.quantile(math.exp(-math.e))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normal_quantile_examples():
     model = get_model("normal")
-    assert model_quantile(model, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert abs(model_quantile(model, 0.001) - Z_999) <= 1e-9
-
-
-def test_model_quantile_domain():
-    model = get_model("exp-of-log")
-    for u in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(DomainError):
-            model_quantile(model, u)
+    assert float(model.quantile(0.5)) == pytest.approx(0.0, abs=1e-15)
+    assert abs(float(model.quantile(0.001)) - Z_999) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["exp-of-log", "normal", "pareto", "exponential",
@@ -93,7 +90,7 @@ def test_rho_normal_exact_derivative_oracle():
     model = get_model("normal")
     got = rho_numeric(model, 0.001)
     assert got == pytest.approx(RHO_NORMAL_001, rel=1e-8)
-    assert RHO_NORMAL_001 == pytest.approx(0.001 / float(normal_pdf(Z_999)), rel=1e-12)
+    assert RHO_NORMAL_001 == pytest.approx(0.001 / _phi(Z_999), rel=1e-12)
 
 
 def test_rho_log_pareto_is_one():
@@ -101,6 +98,13 @@ def test_rho_log_pareto_is_one():
     model = get_model("exponential")
     for u in (1e-8, 1e-4, 0.2):
         assert rho_numeric(model, u) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_rho_numeric_domain():
+    model = get_model("exp-of-log")
+    for u in (0.0, 1.0, -0.5, 2.0):
+        with pytest.raises(DomainError, match=r"u must lie strictly inside \(0, 1\)"):
+            rho_numeric(model, u)
 
 
 def test_rho_step_underflow():
@@ -131,7 +135,7 @@ def test_mean_excess_normal():
     assert got == pytest.approx(R_NORMAL_3, rel=1e-8)
     # closed-form oracle and the 1/t asymptotic head (slow: ~15% off at t=3)
     assert R_NORMAL_3 == pytest.approx(
-        float(normal_pdf(3.0)) / float(normal_sf(3.0)) - 3.0, rel=1e-12
+        _phi(3.0) / float(normal_sf(3.0)) - 3.0, rel=1e-12
     )
     assert abs(3.0 * got - 1.0) < 0.16
 

@@ -37,3 +37,48 @@ def test_package_raises_only_its_own_errors():
                 found.append((path.name, node.lineno, name))
     assert found
     assert [entry for entry in found if entry[2] not in allowed] == []
+
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# public names that no program reads, each kept on purpose
+READ_ONLY_BY_TESTS = {
+    # the sort-then-transform reference path the engine's fast path is tested against
+    "inverse_transform",
+    # the paper's iterated-log norming factor c_n
+    "iterated_c_n",
+}
+
+
+def _names_read(tree) -> set:
+    """Every name the module loads, bare or as an attribute, except inside
+    the body of the def or class that defines it."""
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_public_name_is_read_by_a_program():
+    # a public name that only tests read is surface to delete; the package's
+    # re-export in __init__.py does not count as a read
+    files = [path for directory in ("src/gumbeltail", "scripts", "bench")
+             for path in sorted((ROOT / directory).glob("*.py"))
+             if path.name != "__init__.py"]
+    assert len(files) > 10
+    read = set()
+    for path in files:
+        read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    unread = sorted(set(gumbeltail.__all__) - read - READ_ONLY_BY_TESTS)
+    assert unread == []
+    assert READ_ONLY_BY_TESTS <= set(gumbeltail.__all__) - read
