@@ -3,7 +3,7 @@
 Subcommands: estimate, norming, simulate, ks, table, test. Every run
 echoes its parsed configuration (seed included) so any output can be
 reproduced from its own header. Exit codes: 0 success, 1 usage error,
-2 domain error.
+2 domain error or an allocation that fails.
 """
 
 from __future__ import annotations
@@ -298,6 +298,9 @@ def dispatch(argv: list[str]) -> int:
         return 0 if code in (0, None) else 1
     except GumbelTailError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # past the raw draw, whose own message names n
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -38,8 +38,8 @@ class TailModel:
     """A named distribution family seen through its upper tail.
 
     quantile maps u in (0, 1) to Q(1 - u); survival, 1 - F(x), is optional
-    and needed only where r must come from quadrature.
-    upper_endpoint / lower_endpoint are the support ends A and B.
+    and needed only where r must come from quadrature. The support is
+    [lower_endpoint, +inf).
     """
 
     name: str
@@ -47,7 +47,6 @@ class TailModel:
     survival: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     aux_r: Callable[[float], float] | None = None
     aux_exact: bool = True
-    upper_endpoint: float = math.inf
     lower_endpoint: float = -math.inf
     mean_excess_finite: bool = True
 
@@ -95,10 +94,7 @@ def rho_numeric(model: TailModel, u: float) -> float:
 
 def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
     """Smallest point where the survival drops below floor, by doubling
-    then bisection; returns the upper endpoint if it comes first."""
-    a = model.upper_endpoint
-    if math.isfinite(a):
-        return a
+    then bisection."""
     hi = max(abs(t), 1.0)
     step = max(abs(t), 1.0)
     while float(model.sf(hi)) > floor:
@@ -118,15 +114,13 @@ def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
 
 def mean_excess_R(model: TailModel, t: float) -> float:
     """Mean excess R(t) = E[X - t | X > t] by adaptive quadrature of the
-    survival function on (t, A), truncated where the survival falls below
+    survival function on (t, inf), truncated where the survival falls below
     1e-18 of its value at t."""
-    if model.survival is None:
-        raise DomainError(f"model {model.name!r} has no survival function")
+    st = float(model.sf(t))
     if not model.mean_excess_finite:
         raise DomainError(f"mean excess diverges for model {model.name!r}")
-    if not model.lower_endpoint < t < model.upper_endpoint:
+    if not model.lower_endpoint < t < math.inf:
         raise DomainError(f"t={t} outside the support of {model.name!r}")
-    st = float(model.sf(t))
     if st <= 1e-300:
         raise DomainError(f"survival underflows at t={t} for {model.name!r}")
     upper = _tail_cutoff(model, t, _TAIL_TRUNCATION * st)
@@ -172,7 +166,7 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
 def lambda_ratio(model: TailModel, policy, n: int) -> float:
     """Finite-n ratio r(1/n) / r(k/n) with k from the policy; probing a grid
     of n estimates the limit lambda."""
-    from .estimators import select_k
+    from .estimators import select_k  # per call: bench/tracing.py wraps estimators.select_k
 
     k = select_k(policy, n)
     r = _aux(model)
@@ -191,8 +185,6 @@ def transform_log(model: TailModel) -> TailModel:
     scale becomes s(u) = R(Q(1 - u)) / Q(1 - u), evaluated numerically when
     the base model can integrate its tail, dropped otherwise.
     """
-    if not model.upper_endpoint > 0.0:
-        raise DomainError(f"model {model.name!r} has upper endpoint <= 0")
     if model.lower_endpoint >= 0.0:
         a = 1.0
     elif model.survival is not None:
@@ -231,7 +223,6 @@ def transform_log(model: TailModel) -> TailModel:
         survival=survival,
         aux_r=aux,
         aux_exact=False,
-        upper_endpoint=math.log(model.upper_endpoint) if math.isfinite(model.upper_endpoint) else math.inf,
         lower_endpoint=math.log(b) if b > 0.0 else -math.inf,
     )
 
@@ -247,12 +238,14 @@ def _aux_vanishes(model: TailModel) -> bool:
 
 def transform_exp(model: TailModel) -> TailModel:
     """Model of exp(X); valid when the base auxiliary scale vanishes at the
-    tail, warns AuxNotVanishing otherwise.
+    tail, warns AuxNotVanishing otherwise, and then marks the result's mean
+    excess as divergent.
 
     Quantile becomes u -> exp(Q(1 - u)); the auxiliary scale becomes
     t(u) = exp(Q(1 - u)) R(Q(1 - u)).
     """
-    if not _aux_vanishes(model):
+    vanishes = _aux_vanishes(model)
+    if not vanishes:
         warnings.warn(
             f"auxiliary scale of {model.name!r} does not vanish at the tail; "
             "exp transform leaves the Gumbel max-domain",
@@ -280,15 +273,14 @@ def transform_exp(model: TailModel) -> TailModel:
             q = float(base_q(u))
             return math.exp(q) * mean_excess_R(model, q)
 
-    b = model.lower_endpoint
     return TailModel(
         name=f"exp({model.name})",
         quantile=quantile,
         survival=survival,
         aux_r=aux,
         aux_exact=False,
-        upper_endpoint=math.exp(model.upper_endpoint) if math.isfinite(model.upper_endpoint) else math.inf,
-        lower_endpoint=math.exp(b) if math.isfinite(b) else (0.0 if b == -math.inf else math.inf),
+        lower_endpoint=math.exp(model.lower_endpoint),
+        mean_excess_finite=vanishes,
     )
 
 
@@ -391,7 +383,6 @@ def iterated_log_model(p: int) -> TailModel:
         survival=survival,
         aux_r=aux,
         aux_exact=False,
-        upper_endpoint=math.inf,
         lower_endpoint=0.0,
     )
 

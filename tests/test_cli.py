@@ -574,6 +574,24 @@ def test_too_large_n_is_domain_error(capsys, argv, n):
     assert f"n={n}" in err
 
 
+# the raw draw of n = 2e7 (153 MiB) fits under an address-space cap of 400 MiB
+# above the interpreter's size at import; the table's transforms of it do not
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_out_of_memory_past_the_raw_draw_is_domain_error():
+    proc = _fresh_python(
+        "import resource, sys\n"
+        "from gumbeltail import cli\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    size = next(int(line.split()[1]) << 10 for line in fh if line.startswith('VmSize:'))\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (400 << 20), hard))\n"
+        "sys.exit(cli.dispatch(['table', '--n-total', '20000000']))\n",
+        returncode=2,
+    )
+    assert not proc.stdout
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
 # an n above the largest float cannot enter the float arithmetic of norming
 @pytest.mark.parametrize("argv", [
     ["norming", "--model", "normal", "--n", str(10**400)],
@@ -609,13 +627,13 @@ def test_norming_sqrt_k_is_exact_above_2_to_52(capsys):
 # ---------------------------------------------------------------------------
 # cold start: scipy is imported by the code that uses it, not by the CLI
 
-def _fresh_python(code):
+def _fresh_python(code, returncode=0):
     """Run code in a new interpreter that imports this gumbeltail."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 

@@ -162,6 +162,18 @@ def test_mean_excess_diverges_for_pareto():
         mean_excess_R(get_model("pareto"), 2.0)
 
 
+@pytest.mark.parametrize("name,t,message", [
+    ("mason", 2.0, "model 'mason' has no survival function"),
+    ("pareto", 2.0, "mean excess diverges for model 'pareto'"),
+    ("exponential", -1.0, "t=-1.0 outside the support of 'exponential'"),
+    ("normal", 40.0, "survival underflows at t=40.0 for 'normal'"),
+], ids=["no-survival", "diverges", "outside-support", "underflow"])
+def test_mean_excess_refusals(name, t, message):
+    with pytest.raises(DomainError) as info:
+        mean_excess_R(get_model(name), t)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # norming constants
 
@@ -262,8 +274,10 @@ def test_transform_log_default_mass_from_cdf():
 
 
 def test_transform_log_rejects_nonpositive_endpoint():
-    dead = TailModel(name="negative", quantile=lambda u: -1.0 - u, upper_endpoint=-1.0)
-    with pytest.raises(DomainError, match="model 'negative' has upper endpoint <= 0"):
+    # support [-2, -1]: no mass above zero to renormalize by
+    dead = TailModel(name="negative", quantile=lambda u: -1.0 - u,
+                     survival=lambda x: np.clip(-1.0 - np.asarray(x, dtype=float), 0.0, 1.0))
+    with pytest.raises(DomainError, match=r"a = P\(X > 0\) must lie in \(0, 1\], got 0.0"):
         transform_log(dead)
 
 
@@ -280,6 +294,19 @@ def test_transform_exp_inverts_exp_of_log():
 def test_transform_exp_warns_when_aux_stays_flat():
     with pytest.warns(AuxNotVanishing):
         transform_exp(get_model("exponential"))
+
+
+def test_transform_exp_of_flat_aux_has_no_finite_mean_excess():
+    # exp of a unit exponential is the unit Pareto, whose mean excess diverges;
+    # its log is the log-Pareto again, with a_n = r(k/n) = 1
+    with pytest.warns(AuxNotVanishing):
+        model = transform_exp(get_model("exponential"))
+    assert not model.mean_excess_finite
+    with pytest.raises(DomainError, match="mean excess diverges for model 'exp\\(exponential\\)'"):
+        mean_excess_R(model, 10.0)
+    a_n = norming(transform_log(model), 10**4, 100).a_n
+    assert a_n == norming(transform_log(get_model("pareto")), 10**4, 100).a_n
+    assert a_n == pytest.approx(1.0, rel=1e-9)
 
 
 def test_transform_exp_normal_is_log_normal():

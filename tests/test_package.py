@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import gumbeltail
@@ -69,9 +70,9 @@ def _names_read(tree) -> set:
     return read
 
 
-def test_every_public_name_is_read_by_a_program():
-    # a public name that only tests read is surface to delete; the package's
-    # re-export in __init__.py does not count as a read
+def _program_reads() -> set:
+    """Every name read by the programs in src/, scripts/ and bench/; the
+    package's re-export in __init__.py does not count as a read."""
     files = [path for directory in ("src/gumbeltail", "scripts", "bench")
              for path in sorted((ROOT / directory).glob("*.py"))
              if path.name != "__init__.py"]
@@ -79,6 +80,27 @@ def test_every_public_name_is_read_by_a_program():
     read = set()
     for path in files:
         read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    return read
+
+
+def test_every_public_name_is_read_by_a_program():
+    # a public name that only tests read is surface to delete
+    read = _program_reads()
     unread = sorted(set(gumbeltail.__all__) - read - READ_ONLY_BY_TESTS)
     assert unread == []
     assert READ_ONLY_BY_TESTS <= set(gumbeltail.__all__) - read
+
+
+# TailModel fields that no program reads, each kept on purpose
+UNREAD_MODEL_FIELDS = {
+    # ROADMAP item 4: the a_n route in the run diagnostics
+    "aux_exact",
+}
+
+
+def test_every_model_field_is_read_by_a_program():
+    # a field that no program reads is a concept to delete
+    read = _program_reads()
+    fields = {field.name for field in dataclasses.fields(gumbeltail.TailModel)}
+    assert sorted(fields - read - UNREAD_MODEL_FIELDS) == []
+    assert UNREAD_MODEL_FIELDS <= fields - read
