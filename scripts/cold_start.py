@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Cold-start wall time of each gumbeltail command, one fresh process per run.
+"""Cold-start wall time and peak memory of each gumbeltail command, one
+fresh process per run.
 
 Each run starts a new interpreter that imports the package from a source
 tree and runs one command line, as the installed ``gumbeltail`` script
-does; the time covers interpreter start-up, imports and the command. One
+does; the time covers interpreter start-up, imports and the command, and
+the peak RSS is the child's ru_maxrss, read from os.wait4. One
 untimed run per command and tree comes first: it warms the file cache and
 records which scipy modules the command loads. The timed repeats alternate:
 each round runs every command on every tree, and the order of commands and
 of trees reverses from one round to the next, so that drift on a shared host
-falls on all of them alike. The median per command and tree is printed and
-written, with every run, to BENCH_<label>.json in the current directory.
+falls on all of them alike. The medians per command and tree are printed
+and written, with every run, to BENCH_<label>.json in the current directory.
 
 Usage:
     python scripts/cold_start.py --label local --repeats 9
@@ -43,6 +45,8 @@ COMMANDS = {
     "ks": ["ks", "--model", "exp-of-log", "--n", "1000", "--reps", "50"],
     "ks-normal": ["ks", "--model", "normal", "--n", "1000", "--reps", "50"],
     "simulate": ["simulate", "--model", "pareto", "--n", "1000", "--reps", "50"],
+    "simulate-large": ["simulate", "--model", "exp-of-log", "--n", "20000000", "--k-policy",
+                       "logpow:2", "--reps", "3"],
 }
 
 _RUN = "from gumbeltail.cli import main\nmain()\n"
@@ -64,29 +68,30 @@ def _write_sample(directory: str) -> str:
     return path
 
 
-def _run(code: str, argv: list, src: Path) -> subprocess.CompletedProcess:
+def _run(code: str, argv: list, src: Path) -> tuple:
+    """Run one command in a fresh interpreter; return its stderr, its wall
+    time in seconds and its peak RSS in MB (the child's ru_maxrss)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True, timeout=300)
-    if done.returncode != 0:
-        sys.exit(f"cold_start: {' '.join(argv)} on {src} exited {done.returncode}: "
-                 f"{done.stderr.strip()}")
-    return done
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    seconds = time.perf_counter() - t0
+    if proc.returncode != 0:
+        sys.exit(f"cold_start: {' '.join(argv)} on {src} exited {proc.returncode}: "
+                 f"{stderr.strip()}")
+    return stderr, seconds, usage.ru_maxrss / 1024.0
 
 
 def _probe(argv: list, src: Path) -> list:
     """Run once untimed; return the scipy modules the command loaded."""
-    cli_file, *loaded = _run(_PROBE, argv, src).stderr.split()
+    cli_file, *loaded = _run(_PROBE, argv, src)[0].split()
     if src.resolve() not in Path(cli_file).resolve().parents:
         sys.exit(f"cold_start: imported {cli_file}, not the tree {src}")
     return loaded
-
-
-def _timed(argv: list, src: Path) -> float:
-    t0 = time.perf_counter()
-    _run(_RUN, argv, src)
-    return time.perf_counter() - t0
 
 
 def _tree(spec: str) -> tuple:
@@ -117,17 +122,24 @@ def main() -> None:
         loaded = {side: {name: _probe(argvs[name], src) for name in argvs}
                   for side, src in trees.items()}
         runs = {side: {name: [] for name in argvs} for side in trees}
+        rss = {side: {name: [] for name in argvs} for side in trees}
         for rnd in range(args.repeats):
             step = 1 if rnd % 2 == 0 else -1
             for name in list(argvs)[::step]:
                 for side in list(trees)[::step]:
-                    runs[side][name].append(_timed(argvs[name], trees[side]))
+                    _, seconds, peak_mb = _run(_RUN, argvs[name], trees[side])
+                    runs[side][name].append(seconds)
+                    rss[side][name].append(peak_mb)
 
-    medians = {side: {name: statistics.median(times) for name, times in by_name.items()}
-               for side, by_name in runs.items()}
-    print(f"{'command':>20} " + " ".join(f"{side:>12}" for side in trees) + "  scipy loaded")
+    def median(samples):
+        return {side: {name: statistics.median(values) for name, values in by_name.items()}
+                for side, by_name in samples.items()}
+
+    medians, rss_medians = median(runs), median(rss)
+    print(f"{'command':>20} " + " ".join(f"{side:>21}" for side in trees) + "  scipy loaded")
     for name in argvs:
-        cells = " ".join(f"{medians[side][name]:>11.3f}s" for side in trees)
+        cells = " ".join(f"{medians[side][name]:>8.3f}s {rss_medians[side][name]:>8.1f}MB"
+                         for side in trees)
         mods = " | ".join(" ".join(loaded[side][name]) or "-" for side in trees)
         print(f"{name:>20} {cells}  {mods}")
 
@@ -143,6 +155,8 @@ def main() -> None:
         "scipy_loaded": loaded,
         "median_s": medians,
         "runs_s": runs,
+        "median_peak_rss_mb": rss_medians,
+        "runs_peak_rss_mb": rss,
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -17,6 +17,11 @@ two are mapped into (0, 1) and the quantile is evaluated once per run, on
 the M top and the M (n-k)-th uniforms. Both maps are monotone, so this is
 exactly what sorting the uniforms and transforming them would produce (the
 test suite asserts bitwise equality with that slow reference path).
+
+A replicate draws its n raw integers in chunks of at most 2**16 and keeps
+only candidates for its k+1 largest, so it holds O(k + 2**16) of them, not
+n, and its time stays linear in n. PCG64 spends one output per bounded
+64-bit draw, so the chunks make up the same stream as one call of size n.
 """
 
 from __future__ import annotations
@@ -110,6 +115,59 @@ def inverse_transform(model: TailModel, sorted_u: np.ndarray) -> SortedSample:
     return SortedSample(values)
 
 
+_CHUNK = 1 << 16
+
+
+def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, int]:
+    """The largest and the (k+1)-th largest of the stream's first n raw
+    draws, drawn in chunks of at most _CHUNK into the pool, which holds
+    min(n, 2k + 2 + _CHUNK) values.
+
+    Once the pool holds 2(k+1) values it is partitioned and compacted to
+    its k+1 largest, whose least is the floor; from then on a chunk adds
+    only its values above the floor. Each compaction drops at least k+1
+    values, so the partitions cost O(n) in all for any k.
+    """
+    generator = rng.generator()
+    keep = k + 1
+    if n <= _CHUNK:  # one chunk: partition it where it lies
+        top = generator.integers(0, 1 << 53, size=n)
+    else:
+        size = drawn = 0
+        floor = -1  # no floor before the first compaction
+        while drawn < n:
+            chunk = generator.integers(0, 1 << 53, size=min(_CHUNK, n - drawn))
+            drawn += chunk.size
+            above = chunk if floor < 0 else chunk[chunk > floor]
+            pool[size:size + above.size] = above
+            size += above.size
+            if size >= 2 * keep:
+                pool[:size].partition(size - keep)
+                pool[:keep] = pool[size - keep:size]  # disjoint, as size - keep >= keep
+                size, floor = keep, pool[0]
+            del chunk, above  # so the next chunk reuses this one's memory
+        top = pool[:size]
+    top.partition(top.size - keep)
+    return top[-keep:].max(), top[-keep]
+
+
+def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
+    """The (M, 2) raw draws X_{n,n} and X_{n-k,n} of replicates 0..M-1; one
+    pool serves every replicate."""
+    if n > np.iinfo(np.intp).max:
+        raise DomainError(f"n={n} is beyond the largest array numpy can allocate")
+    try:
+        pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
+        raise DomainError(
+            f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
+        ) from None
+    stats = np.empty((m, 2), dtype=np.int64)
+    for i in range(m):
+        stats[i] = _top_and_kth(n, k, rng.replicate(i), pool)
+    return stats
+
+
 def run_replicates(
     model: TailModel,
     n: int,
@@ -130,14 +188,7 @@ def run_replicates(
     k = select_k(policy, n)
     nc = norming(model, n, k)
     log_k = math.log(k)
-
-    # a function, so each n-sized draw is freed, and its memory reused, before the next
-    def order_stats(index: int) -> tuple[int, int]:
-        j = _raw_draw(n, rng.replicate(index))
-        j.partition(n - 1 - k)
-        return j[n - 1 - k:].max(), j[n - 1 - k]
-
-    u_top, u_k = _open_uniforms(np.array([order_stats(i) for i in range(m)])).T
+    u_top, u_k = _open_uniforms(_order_stats(n, k, m, rng)).T
     spacing = model.quantile(1.0 - u_top) - model.quantile(1.0 - u_k)
     raw_t = spacing / log_k
     normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n

@@ -94,7 +94,9 @@ def rho_numeric(model: TailModel, u: float) -> float:
 
 def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
     """Smallest point where the survival drops below floor, by doubling
-    then bisection."""
+    then bisection from sf(t) > floor. The bisection keeps sf(lo) > floor
+    >= sf(hi), so it stops once no double lies strictly between lo and hi
+    (about 55 steps), or after 80."""
     hi = max(abs(t), 1.0)
     step = max(abs(t), 1.0)
     while float(model.sf(hi)) > floor:
@@ -105,6 +107,8 @@ def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
     lo = t
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if float(model.sf(mid)) > floor:
             lo = mid
         else:

@@ -558,13 +558,15 @@ def test_ks_rejects_bad_threshold_before_drawing(capsys, monkeypatch):
     assert "threshold" in err and not out
 
 
-# numpy refuses n = 1e20 before allocating anything; n = 1e15 (7 PiB) passes
-# numpy's size check and fails in malloc at once, as a MemoryError
+# numpy refuses n = 1e20 before allocating anything; the table's sorted
+# sample of n = 1e15 (7 PiB), and the replicates' k+1 largest of n = 1e15
+# draws at k = 1e14 (1.6 PB with their pool), pass numpy's size check and
+# fail in malloc at once, as a MemoryError
 @pytest.mark.parametrize("argv,n", [
     (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**20),
     (["table", "--n-total", "<n>"], 10**20),
-    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**15),
-    (["ks", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**15),
+    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1", "--k", str(10**14)], 10**15),
+    (["ks", "--model", "normal", "--n", "<n>", "--reps", "1", "--k", str(10**14)], 10**15),
     (["table", "--n-total", "<n>"], 10**15),
 ], ids=["simulate", "table", "simulate-malloc", "ks-malloc", "table-malloc"])
 def test_too_large_n_is_domain_error(capsys, argv, n):
@@ -590,6 +592,25 @@ def test_out_of_memory_past_the_raw_draw_is_domain_error():
     )
     assert not proc.stdout
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
+# a replicate holds O(k + 2**16) raw draws, not n: at n = 2e7 (153 MiB of
+# draws) it runs under an address-space cap of 100 MiB above the
+# interpreter's size at import
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_replicates_at_large_n_run_in_memory_below_the_sample():
+    argv = ["simulate", "--model", "exp-of-log", "--n", "20000000", "--k-policy", "logpow:2",
+            "--reps", "1"]
+    proc = _fresh_python(
+        "import resource, sys\n"
+        "from gumbeltail import cli\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    size = next(int(line.split()[1]) << 10 for line in fh if line.startswith('VmSize:'))\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (100 << 20), hard))\n"
+        f"sys.exit(cli.dispatch({argv!r}))\n"
+    )
+    assert not proc.stderr and proc.stdout.startswith("# config: ")
 
 
 # an n above the largest float cannot enter the float arithmetic of norming

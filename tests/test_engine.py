@@ -3,6 +3,7 @@ Gumbel goodness-of-fit machinery and the three-estimator table."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 
 from gumbeltail.engine import (
     RngSpec,
+    _order_stats,
     _open_uniforms,
     gumbel_cdf,
     inverse_transform,
@@ -199,6 +201,113 @@ def test_run_replicates_log_scale_matches_log_model():
         from gumbeltail.estimators import de_haan_resnick_log_scale
 
         assert de_haan_resnick_log_scale(z, k) == via_log.raw_t[i]
+
+
+# ---------------------------------------------------------------------------
+# the streamed draw: chunk boundaries, ties, large k
+
+
+CHUNK = 1 << 16
+STREAM_CASES = [(n, k) for n in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+                for k in (2, math.isqrt(n), CHUNK - 1, CHUNK + 5) if k < n]
+
+
+def test_chunked_draws_make_up_one_stream():
+    # PCG64 spends one output per bounded 64-bit draw, so chunks of any size
+    # concatenate to the stream of one call
+    rng = RngSpec(seed=4, stream_id=3)
+    whole = rng.generator().integers(0, 1 << 53, size=3 * CHUNK + 7)
+    generator = rng.generator()
+    parts = [generator.integers(0, 1 << 53, size=size) for size in (CHUNK, 5, CHUNK, CHUNK + 2)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("n,k", STREAM_CASES + [(1 << 18, 1 << 17)],
+                         ids=[f"n{n}-k{k}" for n, k in STREAM_CASES] + ["n262144-half"])
+def test_streamed_replicates_match_sorted_reference_path(n, k):
+    model = get_model("exp-of-log")
+    rng = RngSpec(seed=61, stream_id=n + k)
+    rs = run_replicates(model, n, KPolicy.fixed(k), 2, rng)
+    nc = norming(model, n, k)
+    for i in range(2):
+        sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
+        assert de_haan_resnick(sample, k) == rs.raw_t[i]
+        assert _normalized(sample.values, k, nc) == rs.normalized[i]
+
+
+class _ChunkStub:
+    """Stands in for an RngSpec whose generator hands out fixed values in
+    order, whatever chunk sizes are asked for; records the sizes."""
+
+    def __init__(self, values):
+        self.values, self.sizes = values, []
+
+    def replicate(self, index):
+        return self
+
+    def generator(self):
+        return self
+
+    def integers(self, low, high, size):
+        start = sum(self.sizes)
+        self.sizes.append(size)
+        return self.values[start:start + size].copy()
+
+
+def _tied_draws(n, k):
+    """Values whose (k+1)-th largest is tied with everything below it, in
+    every chunk: k values of 8, the rest 7, the 8s in the last chunk."""
+    values = np.full(n, 7, dtype=np.int64)
+    values[n - k:] = 8
+    return values
+
+
+def _late_near_floor(n, k):
+    """Distinct evens, then zeros, and last an odd value just above the
+    (k+1)-th largest even, which makes it the (k+1)-th largest of all."""
+    h = n // 2
+    values = np.zeros(n, dtype=np.int64)
+    values[:h] = 2 * np.random.default_rng(6).permutation(h)
+    values[-1] = 2 * (h - k - 1) + 1
+    return values
+
+
+@pytest.mark.parametrize("draws", [
+    lambda n, k: np.random.default_rng(5).integers(0, 8, size=n),
+    _tied_draws,
+    _late_near_floor,
+    lambda n, k: np.arange(n, dtype=np.int64),
+    lambda n, k: np.arange(n, dtype=np.int64)[::-1].copy(),
+], ids=["few-values", "tied-floor", "late-near-floor", "ascending", "descending"])
+@pytest.mark.parametrize("k", [2, 443, CHUNK + 5])
+def test_order_stats_across_chunks(draws, k):
+    # ties at the floor, a candidate just above it after the pool has
+    # compacted, ascending draws that compact it on every chunk and
+    # descending draws that never add to it
+    n = 3 * CHUNK + 7
+    values = draws(n, k)
+    stub = _ChunkStub(values)
+    got = _order_stats(n, k, 1, stub)
+    ordered = np.sort(values)
+    assert got.tolist() == [[ordered[-1], ordered[-1 - k]]]
+    assert sum(stub.sizes) == n and max(stub.sizes) <= CHUNK
+
+
+def test_run_replicates_stores_at_most_64_bytes_per_replicate():
+    # the order statistics fill one (M, 2) int64 array; a list of M tuples
+    # of numpy scalars took about 160 bytes per replicate
+    model = get_model("exp-of-log")
+
+    def peak(m):
+        tracemalloc.start()
+        try:
+            run_replicates(model, 4, KPolicy.fixed(2), m, RngSpec(seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert (peak(5500) - peak(500)) / 5000 <= 64
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from gumbeltail.errors import AuxNotVanishing, DomainError
 from gumbeltail.estimators import KPolicy
 from gumbeltail.models import (
     TailModel,
+    _tail_cutoff,
     _iterated_exp,
     _iterated_log,
     get_model,
@@ -172,6 +173,59 @@ def test_mean_excess_refusals(name, t, message):
     with pytest.raises(DomainError) as info:
         mean_excess_R(get_model(name), t)
     assert str(info.value) == message
+
+
+def _tail_cutoff_80_steps(model, t, floor):
+    """_tail_cutoff as it was before its bisection stopped early: always 80
+    steps, the last ~25 of them on a bracket that no longer shrinks."""
+    hi = max(abs(t), 1.0)
+    step = max(abs(t), 1.0)
+    while float(model.sf(hi)) > floor:
+        step *= 2.0
+        hi = t + step
+        if step > 1e300:
+            return hi
+    lo = t
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(model.sf(mid)) > floor:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _counting_sf(model):
+    calls = []
+
+    def survival(x):
+        calls.append(x)
+        return model.survival(x)
+
+    return TailModel(name=model.name, quantile=model.quantile, survival=survival,
+                     lower_endpoint=model.lower_endpoint), calls
+
+
+# starting points t = Q(1 - u), where mean_excess_R starts its search
+CUTOFF_CASES = [(name, u) for name in ("normal", "exponential", "exp-of-log", "log-normal",
+                                       "iterlog(1)", "iterlog(2)", "iterlog(3)")
+                for u in (0.5, 1e-2, 1e-4, 1e-8, 1e-16, 1e-30)]
+
+
+def test_tail_cutoff_stops_when_the_bracket_stops_shrinking():
+    # the early stop must give the 80-step result bit for bit, with fewer
+    # survival calls: the bracket of a double stops shrinking after ~55 steps
+    calls_now = calls_80 = 0
+    for name, u in CUTOFF_CASES:
+        model = get_model(name)
+        t = float(model.quantile(u))
+        floor = 1e-18 * float(model.sf(t))
+        counted_now, now = _counting_sf(model)
+        counted_80, old = _counting_sf(model)
+        assert _tail_cutoff(counted_now, t, floor) == _tail_cutoff_80_steps(counted_80, t, floor)
+        assert len(now) <= len(old) - 20
+        calls_now, calls_80 = calls_now + len(now), calls_80 + len(old)
+    assert calls_now <= 0.75 * calls_80
 
 
 # ---------------------------------------------------------------------------

@@ -53,3 +53,7 @@ def test_cold_start_times_one_command(capsys, monkeypatch, tmp_path):
     assert list(doc["runs_s"]) == ["src"] and len(doc["runs_s"]["src"]["table"]) == 1
     assert doc["median_s"]["src"]["table"] > 0.0
     assert doc["scipy_loaded"] == {"src": {"table": []}}
+    # the child's own peak RSS: more than an interpreter with numpy, far
+    # less than the 4000-draw table could ever need
+    assert len(doc["runs_peak_rss_mb"]["src"]["table"]) == 1
+    assert 10.0 < doc["median_peak_rss_mb"]["src"]["table"] < 500.0
