@@ -10,6 +10,12 @@ depends only on its index. Raw draws j in [0, 2**53) are mapped to
 the top draw, which rounds to 1, is mapped to the largest double below 1.
 The map is non-decreasing and keeps every value strictly inside (0, 1).
 
+A lone stream is seeded by numpy's own SeedSequence. The replicate loop
+instead hashes the seed states of a run's streams in blocks of 1024, as
+uint32 array arithmetic equal to SeedSequence bit for bit (its hash
+constants do not depend on the entropy), and hands each state to PCG64. A
+stream whose seed or stream id is 2**64 or more falls back to SeedSequence.
+
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
 one, which a linear-time partition of the raw integer draws extracts; the
@@ -27,8 +33,11 @@ n, and its time stays linear in n. PCG64 spends one output per bounded
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -37,13 +46,102 @@ from .estimators import KPolicy, SortedSample, select_k
 from .models import NormingConstants, TailModel, norming
 
 
+# SeedSequence's hash (O'Neill's seed_seq): a 4-word pool, uint32 words,
+# hash constants that step by a fixed multiplier on every use.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_BLOCK = 1024  # streams hashed per block of array arithmetic
+
+
+def _hash_chain(init: int, mult: int, uses: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of the first uses of a hash chain,
+    as (uses, 1) uint32 columns."""
+    chain = [init]
+    for _ in range(uses):
+        chain.append(chain[-1] * mult & _MASK32)
+    column = np.array(chain, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+_MIX_XOR, _MIX_MUL = _hash_chain(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_OUT_XOR, _OUT_MUL = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = values ^ xor
+    out *= mul
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 seed states of streams first..first+count-1, as (r, 4) uint64:
+    row i is SeedSequence([seed, first + i]).generate_state(4, np.uint64).
+
+    r <= count is the number of leading streams the batch covers, those
+    with seed and stream below 2**64: their at most four entropy words fit
+    SeedSequence's pool, so its hash runs no extra mixing pass.
+    """
+    rows = min(count, max(0, (1 << 64) - first)) if seed < 1 << 64 else 0
+    if rows == 0:
+        return np.empty((0, 4), dtype=np.uint64)
+    # the entropy words, zero-padded as SeedSequence pads its pool:
+    # seed low [seed high], stream low, stream high
+    streams = np.arange(first, first + rows, dtype=np.uint64)
+    seed_words = 1 if seed <= _MASK32 else 2
+    pool = np.zeros((4, rows), dtype=np.uint32)
+    pool[0] = seed & _MASK32
+    pool[1] = seed >> 32
+    pool[seed_words] = streams & _MASK32
+    pool[seed_words + 1] = streams >> 32
+    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+    # each word mixes into the three others, with three further hash uses;
+    # the source word does not change meanwhile, so the three are independent
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        uses = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _MIX_XOR[uses], _MIX_MUL[uses]) * _MIX_R
+        mixed ^= mixed >> _XSHIFT
+        pool[dst] = mixed
+    words = _hashmix(np.concatenate((pool, pool)), _OUT_XOR, _OUT_MUL)  # 8 words, cycling the pool
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedState:
+    """A precomputed PCG64 seed state, handed to numpy's PCG64 through its
+    ISeedSequence interface (registered on first use, so that importing this
+    module does not load numpy.random). PCG64 asks it for 4 uint64 words,
+    which is all it holds."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+@functools.cache
+def _register_seed_state() -> None:
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedState)
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Seed and stream identifier of one deterministic uniform stream;
-    both must be non-negative (SeedSequence entropy)."""
+    both must be non-negative (SeedSequence entropy).
+
+    _state, when set by replicates(), is the stream's PCG64 seed state,
+    equal to what SeedSequence([seed, stream_id]) generates; it is not
+    compared or shown."""
 
     seed: int
     stream_id: int = 0
+    _state: np.ndarray | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.seed < 0 or self.stream_id < 0:
@@ -53,12 +151,21 @@ class RngSpec:
             )
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
-        )
+        if self._state is None:
+            seed = np.random.SeedSequence([self.seed, self.stream_id])
+        else:
+            seed = _SeedState(self._state)
+        return np.random.Generator(np.random.PCG64(seed))
 
-    def replicate(self, index: int) -> "RngSpec":
-        return RngSpec(seed=self.seed, stream_id=self.stream_id + index)
+    def replicates(self, m: int) -> Iterator["RngSpec"]:
+        """The streams of replicates 0..m-1 (stream_id + i), each with its
+        seed state hashed in blocks of _SEED_BLOCK streams."""
+        _register_seed_state()
+        for start in range(0, m, _SEED_BLOCK):
+            first = self.stream_id + start
+            streams = range(first, first + min(_SEED_BLOCK, m - start))
+            for stream, state in zip_longest(streams, _seed_states(self.seed, first, len(streams))):
+                yield RngSpec(seed=self.seed, stream_id=stream, _state=state)
 
 
 @dataclass(frozen=True)
@@ -163,8 +270,8 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
             f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
         ) from None
     stats = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        stats[i] = _top_and_kth(n, k, rng.replicate(i), pool)
+    for i, replicate in enumerate(rng.replicates(m)):
+        stats[i] = _top_and_kth(n, k, replicate, pool)
     return stats
 
 

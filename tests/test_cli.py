@@ -670,6 +670,18 @@ def test_estimate_and_table_do_not_import_scipy(grid_file):
     assert proc.stdout == "[0, 0] []\n"
 
 
+def test_cli_import_does_not_load_numpy_random():
+    # the replicate loop registers its seed-state type with numpy.random on
+    # first use; importing the CLI and building its parser must not load it
+    proc = _fresh_python(
+        "import sys\n"
+        "import gumbeltail.cli\n"
+        "gumbeltail.cli.build_parser()\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_quadrature_route_imports_scipy_integrate_on_first_use(capsys):
     argv = ["norming", "--model", "log-normal", "--n", "10000", "--format", "json"]
     proc = _fresh_python(

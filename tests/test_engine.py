@@ -10,9 +10,11 @@ import pytest
 from scipy import stats
 
 from gumbeltail.engine import (
+    _SEED_BLOCK,
     RngSpec,
     _order_stats,
     _open_uniforms,
+    _seed_states,
     gumbel_cdf,
     inverse_transform,
     ks_distance,
@@ -64,6 +66,56 @@ def test_sorted_uniforms_mean():
     u = sorted_uniforms(n, RngSpec(seed=2024))
     # CLT bound: 3 / sqrt(12 n) ~ 0.00087, comfortably inside 0.002
     assert abs(float(u.mean()) - 0.5) < 3.0 / math.sqrt(12.0 * n)
+
+
+# ---------------------------------------------------------------------------
+# stream seeding: the batch hash against numpy's SeedSequence
+
+
+SEED_STATE_CASES = [
+    (seed, first, count)
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 5, 2**96 + 1)
+    for first, count in ((0, 3), (2**32 - 2, 4), (2**64 - 2, 4), (2**64, 2))
+] + [(7, 0, _SEED_BLOCK + 5), (2**40 + 3, 2**32 - 300, 2 * _SEED_BLOCK)]
+
+
+def _oracle_state(seed, stream):
+    return np.random.SeedSequence([seed, stream]).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed,first,count", SEED_STATE_CASES)
+def test_seed_states_equal_seed_sequence(seed, first, count):
+    # seed and stream on both sides of 2**32 and 2**64, runs whose streams
+    # cross 2**32 or 2**64, and runs longer than a block; streams whose
+    # entropy does not fit the 4-word pool get no batch state
+    states = _seed_states(seed, first, count)
+    fits = 0 if seed >= 2**64 else min(count, max(0, 2**64 - first))
+    assert states.shape == (fits, 4) and states.dtype == np.uint64
+    for i, state in enumerate(states):
+        assert np.array_equal(state, _oracle_state(seed, first + i)), (seed, first + i)
+
+
+def test_replicate_state_is_not_compared_or_shown():
+    first, = RngSpec(seed=3, stream_id=5).replicates(1)
+    assert first._state is not None
+    assert first == RngSpec(seed=3, stream_id=5)
+    assert hash(first) == hash(RngSpec(seed=3, stream_id=5))
+    assert repr(first) == "RngSpec(seed=3, stream_id=5)"
+
+
+@pytest.mark.parametrize("seed,stream_id", [
+    (5, 2**32 - 1200), (2**33, 2**32 - 1200), (2**64 + 3, 0), (9, 2**64 - 1500),
+], ids=["crosses-2**32", "two-word-seed", "seed-past-2**64", "crosses-2**64"])
+def test_run_replicates_matches_lone_streams(seed, stream_id):
+    # M = 2500 spans three seed blocks; each replicate must equal the
+    # sorted reference path on RngSpec(seed, stream_id + i) alone, whether
+    # its state came from the batch or, past 2**64, from SeedSequence
+    model = get_model("exp-of-log")
+    n, k, m = 40, 6, 2500
+    rs = run_replicates(model, n, KPolicy.fixed(k), m, RngSpec(seed=seed, stream_id=stream_id))
+    reference = [de_haan_resnick(inverse_transform(model, sorted_uniforms(
+        n, RngSpec(seed=seed, stream_id=stream_id + i))), k) for i in range(m)]
+    assert np.array_equal(rs.raw_t, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +173,7 @@ def test_run_replicates_matches_sorted_reference_path():
     rs = run_replicates(model, n, KPolicy.sqrt(), m, rng)
     nc = norming(model, n, k)
     for i in range(m):
-        u = sorted_uniforms(n, rng.replicate(i))
+        u = sorted_uniforms(n, RngSpec(seed=77, stream_id=10 + i))
         sample = inverse_transform(model, u)
         assert de_haan_resnick(sample, k) == rs.raw_t[i]
         assert _normalized(sample.values, k, nc) == rs.normalized[i]
@@ -142,7 +194,7 @@ def test_run_replicates_batched_quantile_matches_reference(name, log_scale):
     rs = run_replicates(model, n, KPolicy.sqrt(), m, rng)
     nc = norming(model, n, k)
     for i in range(m):
-        sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
+        sample = inverse_transform(model, sorted_uniforms(n, RngSpec(seed=31, stream_id=2 + i)))
         assert de_haan_resnick(sample, k) == rs.raw_t[i]
         assert _normalized(sample.values, k, nc) == rs.normalized[i]
 
@@ -196,7 +248,7 @@ def test_run_replicates_log_scale_matches_log_model():
     assert via_log.model_name == "log(pareto)"
     k = select_k(KPolicy.sqrt(), n)
     for i in range(m):
-        u = sorted_uniforms(n, rng.replicate(i))
+        u = sorted_uniforms(n, RngSpec(seed=13, stream_id=i))
         z = inverse_transform(get_model("pareto"), u)
         from gumbeltail.estimators import de_haan_resnick_log_scale
 
@@ -230,7 +282,7 @@ def test_streamed_replicates_match_sorted_reference_path(n, k):
     rs = run_replicates(model, n, KPolicy.fixed(k), 2, rng)
     nc = norming(model, n, k)
     for i in range(2):
-        sample = inverse_transform(model, sorted_uniforms(n, rng.replicate(i)))
+        sample = inverse_transform(model, sorted_uniforms(n, RngSpec(seed=61, stream_id=n + k + i)))
         assert de_haan_resnick(sample, k) == rs.raw_t[i]
         assert _normalized(sample.values, k, nc) == rs.normalized[i]
 
@@ -242,8 +294,8 @@ class _ChunkStub:
     def __init__(self, values):
         self.values, self.sizes = values, []
 
-    def replicate(self, index):
-        return self
+    def replicates(self, m):
+        return [self] * m
 
     def generator(self):
         return self
@@ -291,6 +343,19 @@ def test_order_stats_across_chunks(draws, k):
     ordered = np.sort(values)
     assert got.tolist() == [[ordered[-1], ordered[-1 - k]]]
     assert sum(stub.sizes) == n and max(stub.sizes) <= CHUNK
+
+
+def test_order_stats_of_random_arrays_match_sort():
+    # about 2000 arrays of one chunk, with k spread over 1..n-1: the (k+1)-th
+    # largest read after a partition that is off by one is wrong on a few
+    draws = np.random.default_rng(2718)
+    for _ in range(2000):
+        n = int(draws.integers(10, 5001))
+        k = int(draws.integers(1, n))
+        values = draws.integers(0, 1 << 53, size=n)
+        ordered = np.sort(values)
+        got = _order_stats(n, k, 1, _ChunkStub(values))
+        assert got.tolist() == [[ordered[-1], ordered[-1 - k]]], (n, k)
 
 
 def test_run_replicates_stores_at_most_64_bytes_per_replicate():

@@ -57,3 +57,47 @@ def test_cold_start_times_one_command(capsys, monkeypatch, tmp_path):
     # less than the 4000-draw table could ever need
     assert len(doc["runs_peak_rss_mb"]["src"]["table"]) == 1
     assert 10.0 < doc["median_peak_rss_mb"]["src"]["table"] < 500.0
+
+
+def _line(correct=True, failed=0, **metrics):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()}}
+
+
+def test_bench_pairs_summary_of_canned_lines():
+    # four pairs: the change wins ops_per_s in three and setup_s in one;
+    # a metric missing from every line is left out
+    bench_pairs = _load("bench_pairs")
+    base = [(100.0, 0.20), (110.0, 0.21), (90.0, 0.22), (105.0, 0.19)]
+    change = [(130.0, 0.22), (120.0, 0.20), (80.0, 0.23), (140.0, 0.25)]
+    runs = [{"workload": "w", "pair": p, "seed": 41 + p, "side": side,
+             "line": _line(ops_per_s=ops, setup_s=setup, failed=int(side == "change" and p == 2))}
+            for p in range(4) for side, (ops, setup) in (("base", base[p]), ("change", change[p]))]
+    runs.append({"workload": "v", "pair": 0, "seed": 41, "side": "base",
+                 "line": _line(correct=False, ops_per_s=1.0)})
+    runs.append({"workload": "v", "pair": 0, "seed": 41, "side": "change",
+                 "line": _line(ops_per_s=2.0)})
+    better = bench_pairs.directions({"end_to_end": [
+        {"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
+        {"name": "peak_rss_mb", "better": "lower"}]})
+    summary = bench_pairs.summarize(runs, better)
+
+    assert list(summary) == ["w", "v"]
+    w = summary["w"]
+    assert (w["pairs"], w["correct"], w["failed"]) == (4, {"base": True, "change": True},
+                                                      {"base": 0, "change": 1})
+    assert list(w["metrics"]) == ["ops_per_s", "setup_s"]
+    ops = w["metrics"]["ops_per_s"]
+    # inclusive quartiles of 90, 100, 105, 110 and of 80, 120, 130, 140
+    assert ops["base"] == {"median": 102.5, "q1": 97.5, "q3": 106.25}
+    assert ops["change"] == {"median": 125.0, "q1": 110.0, "q3": 132.5}
+    assert (ops["better"], ops["change_won"], ops["of_pairs"]) == ("higher", 3, 4)
+    assert ops["median_change"] == (125.0 - 102.5) / 102.5
+    assert ops["base_iqr"] == 106.25 - 97.5 and ops["gain_exceeds_base_iqr"]
+    setup = w["metrics"]["setup_s"]
+    assert (setup["better"], setup["change_won"]) == ("lower", 1)
+    assert not setup["gain_exceeds_base_iqr"]
+    v = summary["v"]
+    assert v["correct"] == {"base": False, "change": True}
+    assert v["metrics"]["ops_per_s"]["change_won"] == 1
+    assert v["metrics"]["ops_per_s"]["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
