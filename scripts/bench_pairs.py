@@ -2,12 +2,13 @@
 """Alternating end-to-end benchmark runs of two checkouts, summarized per
 metric.
 
-For each workload and each of N seeds, a pair of runs executes
-``<tree>/bench/run.py --trace 0`` once on the base checkout and once on the
-change checkout, each in a fresh process started in its own tree, at the
-same seed. The base side runs first in even pairs and the change side in odd
-pairs, so that drift on a shared host falls on both alike. The last stdout
-line of every run (the benchmark's result line) is kept as it is.
+For each workload in BENCHMARK.json and each of N seeds, a pair of runs
+executes ``<tree>/bench/run.py --trace 0`` once on the base checkout and
+once on the change checkout, each in a fresh process started in its own
+tree, at the same seed and at the benchmark's ``run_seconds``. The base
+side runs first in even pairs and the change side in odd pairs, so that
+drift on a shared host falls on both alike. The last stdout line of every
+run (the benchmark's result line) is kept as it is.
 
 The summary gives, per workload and end-to-end metric, each side's median
 and quartiles over its runs, and how many pairs the change won: a pair is
@@ -16,9 +17,8 @@ the direction that BENCHMARK.json gives for the metric. Everything is
 written to BENCH_<label>.json in the current directory.
 
 Usage:
-    python scripts/bench_pairs.py --label cmp --base /tmp/parent --pairs 10
-    python scripts/bench_pairs.py --label small --base ../parent --change . \\
-        --workload replicate-small-n --pairs 10 --first-seed 41 --seconds 8
+    python scripts/bench_pairs.py --label cmp --base ../parent --pairs 10 \\
+        --first-seed 41
 """
 
 import argparse
@@ -118,29 +118,26 @@ def _checkout(path: str) -> Path:
 
 def main() -> None:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="the output file is BENCH_<label>.json")
     parser.add_argument("--base", type=_checkout, required=True, help="the checkout to compare against")
     parser.add_argument("--change", type=_checkout, default=ROOT,
                         help="the checkout under test (default: this one)")
-    parser.add_argument("--workload", nargs="+", choices=workloads, default=workloads)
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
     parser.add_argument("--first-seed", type=int, default=1, help="pair p runs at seed first + p")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
-                        help="measured seconds per run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    seconds = benchmark["run_seconds"]
     runs = []
-    for workload in args.workload:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                line = run_bench(trees[side], workload, seed, args.seconds)
+                line = run_bench(trees[side], workload, seed, seconds)
                 runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                              "line": line})
                 print(f"{workload} pair {pair} seed {seed} {side:>6}: correct {line['correct']} "
@@ -162,7 +159,7 @@ def main() -> None:
                  "machine": platform.machine()},
         "trees": {"base": str(args.base), "change": str(args.change)},
         "order": "pair p runs the base first for even p and the change first for odd p",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "summary": summary,
         "runs": runs,
     }

@@ -672,14 +672,19 @@ def test_estimate_and_table_do_not_import_scipy(grid_file):
 
 def test_cli_import_does_not_load_numpy_random():
     # the replicate loop registers its seed-state type with numpy.random on
-    # first use; importing the CLI and building its parser must not load it
+    # first use; importing the CLI and building its parser must not load it.
+    # numpy 1.x loads numpy.random on `import numpy`, so there this cannot hold
     proc = _fresh_python(
         "import sys\n"
+        "import numpy\n"
+        "print('numpy.random' in sys.modules)\n"
         "import gumbeltail.cli\n"
         "gumbeltail.cli.build_parser()\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    assert proc.stdout == "False\n"
+    if proc.stdout.startswith("True\n"):
+        pytest.skip("this numpy loads numpy.random on import numpy")
+    assert proc.stdout == "False\nFalse\n"
 
 
 def test_quadrature_route_imports_scipy_integrate_on_first_use(capsys):
