@@ -13,8 +13,10 @@ run (the benchmark's result line) is kept as it is.
 The summary gives, per workload and end-to-end metric, each side's median
 and quartiles over its runs, and how many pairs the change won: a pair is
 won when the change's value is better than the base's at the same seed, in
-the direction that BENCHMARK.json gives for the metric. Everything is
-written to BENCH_<label>.json in the current directory.
+the direction that BENCHMARK.json gives for the metric. It also flags a
+metric whose median got worse than the base's by more than the metric's
+bound in BENCHMARK.json, a relative change. Everything is written to
+BENCH_<label>.json in the current directory.
 
 Usage:
     python scripts/bench_pairs.py --label cmp --base ../parent --pairs 10 \\
@@ -38,6 +40,13 @@ def directions(benchmark: dict) -> dict:
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
 
+def bounds(benchmark: dict) -> dict:
+    """Metric name -> the relative worsening of its median that the
+    benchmark allows, for the end-to-end metrics that give one."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]
+            if "bound" in metric}
+
+
 def _quartiles(values: list) -> dict:
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -50,11 +59,13 @@ def _better(change: float, base: float, better: str) -> bool:
     return change > base if better == "higher" else change < base
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bound: dict | None = None) -> dict:
     """Per workload: run counts, correctness, and per metric each side's
     median and quartiles, the pairs the change won, the change of the
-    median relative to the base median, and whether the median moved the
-    better way by more than the base's interquartile range.
+    median relative to the base median, whether the median moved the
+    better way by more than the base's interquartile range, and whether it
+    moved the worse way by more than the metric's bound (None where the
+    metric has no bound or the base median is 0).
 
     runs holds {"workload", "pair", "seed", "side", "line"} records, side
     being "base" or "change" and line a parsed result line.
@@ -84,15 +95,21 @@ def summarize(runs: list, better: dict) -> dict:
             base_median, change_median = stats["base"]["median"], stats["change"]["median"]
             gain = change_median - base_median if direction == "higher" else base_median - change_median
             base_iqr = stats["base"]["q3"] - stats["base"]["q1"]
+            relative = (change_median - base_median) / base_median if base_median else None
+            limit = (bound or {}).get(name)
+            worse = None
+            if relative is not None and limit is not None:
+                worse = (-relative if direction == "higher" else relative) > limit
             doc["metrics"][name] = {
                 "better": direction,
                 **stats,
                 "change_won": sum(_better(values["change"][p], values["base"][p], direction)
                                   for p in paired),
                 "of_pairs": len(paired),
-                "median_change": (change_median - base_median) / base_median if base_median else None,
+                "median_change": relative,
                 "base_iqr": base_iqr,
                 "gain_exceeds_base_iqr": gain > base_iqr,
+                "worse_than_bound": worse,
             }
         out[workload] = doc
     return out
@@ -145,13 +162,14 @@ def main() -> None:
                           f"{name} {m['value']:.4g}" for name, m in line["metrics"].items()),
                       flush=True)
 
-    summary = summarize(runs, directions(benchmark))
+    summary = summarize(runs, directions(benchmark), bounds(benchmark))
     for workload, doc in summary.items():
         for name, m in doc["metrics"].items():
             print(f"{workload:>18} {name:>12}: base {m['base']['median']:.4g} "
                   f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}]  change "
                   f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]"
-                  f"  won {m['change_won']}/{m['of_pairs']}")
+                  f"  won {m['change_won']}/{m['of_pairs']}"
+                  + ("  WORSE THAN BOUND" if m["worse_than_bound"] else ""))
     doc = {
         "label": args.label,
         "command": "python scripts/bench_pairs.py " + " ".join(sys.argv[1:]),

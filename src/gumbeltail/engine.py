@@ -16,18 +16,29 @@ uint32 array arithmetic equal to SeedSequence bit for bit (its hash
 constants do not depend on the entropy), and hands each state to PCG64. A
 stream whose seed or stream id is 2**64 or more falls back to SeedSequence.
 
+Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
+full-range ``integers`` path, which copies them with no bound applied, and
+the 53-bit draw is x >> 11. That is bit for bit what
+``Generator.integers(0, 2**53)`` returns: numpy bounds a 64-bit draw by
+Lemire's multiply-shift method (Lemire 2019, Fast random integer
+generation in an interval), whose rejection threshold
+(2**64 - 2**53) mod 2**53 is 0 for a range of exactly 2**53, so it never
+rejects and maps each output x to (x * 2**53) >> 64 = x >> 11.
+
 The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
-one, which a linear-time partition of the raw integer draws extracts; the
-two are mapped into (0, 1) and the quantile is evaluated once per run, on
-the M top and the M (n-k)-th uniforms. Both maps are monotone, so this is
-exactly what sorting the uniforms and transforming them would produce (the
-test suite asserts bitwise equality with that slow reference path).
+one, which a linear-time partition of the raw 64-bit outputs extracts.
+x >> 11 never decreases as x grows, so the shifted pair is exactly the
+pair of 53-bit order statistics, ties included. The two are shifted,
+mapped into (0, 1), and the quantile is evaluated once per run, on the M
+top and the M (n-k)-th uniforms. Every map is monotone, so this is exactly
+what sorting the uniforms and transforming them would produce (the test
+suite asserts bitwise equality with that slow reference path).
 
-A replicate draws its n raw integers in chunks of at most 2**16 and keeps
+A replicate draws its n raw outputs in chunks of at most 2**16 and keeps
 only candidates for its k+1 largest, so it holds O(k + 2**16) of them, not
-n, and its time stays linear in n. PCG64 spends one output per bounded
-64-bit draw, so the chunks make up the same stream as one call of size n.
+n, and its time stays linear in n. Each draw spends exactly one PCG64
+output, so the chunks make up the same stream as one call of size n.
 """
 
 from __future__ import annotations
@@ -188,13 +199,22 @@ class KsReport:
     passed: bool
 
 
+_SHIFT = 11  # a raw 64-bit output x gives the 53-bit draw x >> 11
+
+
+def _draw(generator: np.random.Generator, size: int) -> np.ndarray:
+    """The generator's next size raw 64-bit PCG64 outputs, as uint64."""
+    return generator.integers(0, (1 << 64) - 1, size=size, dtype=np.uint64, endpoint=True)
+
+
 def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
     """The stream's first n raw 53-bit integers."""
-    generator = rng.generator()
     try:
-        return generator.integers(0, 1 << 53, size=n)
+        raw = _draw(rng.generator(), n)
     except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate") from None
+    raw >>= _SHIFT
+    return raw
 
 
 def _open_uniforms(j: np.ndarray) -> np.ndarray:
@@ -227,8 +247,8 @@ _CHUNK = 1 << 16
 
 def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, int]:
     """The largest and the (k+1)-th largest of the stream's first n raw
-    draws, drawn in chunks of at most _CHUNK into the pool, which holds
-    min(n, 2k + 2 + _CHUNK) values.
+    64-bit outputs, drawn in chunks of at most _CHUNK into the uint64 pool,
+    which holds min(n, 2k + 2 + _CHUNK) values.
 
     Once the pool holds 2(k+1) values it is partitioned and compacted to
     its k+1 largest, whose least is the floor; from then on a chunk adds
@@ -238,14 +258,14 @@ def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, i
     generator = rng.generator()
     keep = k + 1
     if n <= _CHUNK:  # one chunk: partition it where it lies
-        top = generator.integers(0, 1 << 53, size=n)
+        top = _draw(generator, n)
     else:
         size = drawn = 0
-        floor = -1  # no floor before the first compaction
+        floor = None  # no floor before the first compaction
         while drawn < n:
-            chunk = generator.integers(0, 1 << 53, size=min(_CHUNK, n - drawn))
+            chunk = _draw(generator, min(_CHUNK, n - drawn))
             drawn += chunk.size
-            above = chunk if floor < 0 else chunk[chunk > floor]
+            above = chunk if floor is None else chunk[chunk > floor]
             pool[size:size + above.size] = above
             size += above.size
             if size >= 2 * keep:
@@ -259,17 +279,17 @@ def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, i
 
 
 def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
-    """The (M, 2) raw draws X_{n,n} and X_{n-k,n} of replicates 0..M-1; one
-    pool serves every replicate."""
+    """The (M, 2) raw 64-bit outputs X_{n,n} and X_{n-k,n} of replicates
+    0..M-1, as uint64; one pool serves every replicate."""
     if n > np.iinfo(np.intp).max:
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate")
     try:
-        pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.int64)
+        pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.uint64)
     except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
         raise DomainError(
             f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
         ) from None
-    stats = np.empty((m, 2), dtype=np.int64)
+    stats = np.empty((m, 2), dtype=np.uint64)
     for i, replicate in enumerate(rng.replicates(m)):
         stats[i] = _top_and_kth(n, k, replicate, pool)
     return stats
@@ -295,7 +315,9 @@ def run_replicates(
     k = select_k(policy, n)
     nc = norming(model, n, k)
     log_k = math.log(k)
-    u_top, u_k = _open_uniforms(_order_stats(n, k, m, rng)).T
+    stats = _order_stats(n, k, m, rng)
+    stats >>= _SHIFT
+    u_top, u_k = _open_uniforms(stats).T
     spacing = model.quantile(1.0 - u_top) - model.quantile(1.0 - u_k)
     raw_t = spacing / log_k
     normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n

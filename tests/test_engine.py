@@ -12,6 +12,7 @@ from scipy import stats
 from gumbeltail.engine import (
     _SEED_BLOCK,
     RngSpec,
+    _draw,
     _order_stats,
     _open_uniforms,
     _seed_states,
@@ -274,6 +275,20 @@ def test_chunked_draws_make_up_one_stream():
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000, CHUNK, CHUNK + 1])
+def test_draw_is_raw_pcg64_and_shifts_to_the_bounded_draw(size):
+    # numpy's bound for a range of exactly 2**53 never rejects and maps a
+    # raw output x to x >> 11, so on every seed the raw draw is PCG64's own
+    # output and its shift is the bounded draw
+    for seed in range(200):
+        raw = _draw(RngSpec(seed=seed).generator(), size)
+        assert raw.dtype == np.uint64
+        pcg = np.random.PCG64(np.random.SeedSequence([seed, 0]))
+        assert np.array_equal(raw, pcg.random_raw(size)), seed
+        bounded = RngSpec(seed=seed).generator().integers(0, 1 << 53, size=size)
+        assert np.array_equal(raw >> 11, bounded), seed
+
+
 @pytest.mark.parametrize("n,k", STREAM_CASES + [(1 << 18, 1 << 17)],
                          ids=[f"n{n}-k{k}" for n, k in STREAM_CASES] + ["n262144-half"])
 def test_streamed_replicates_match_sorted_reference_path(n, k):
@@ -300,10 +315,10 @@ class _ChunkStub:
     def generator(self):
         return self
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype, endpoint):
         start = sum(self.sizes)
         self.sizes.append(size)
-        return self.values[start:start + size].copy()
+        return self.values[start:start + size].astype(dtype)
 
 
 def _tied_draws(n, k):
@@ -324,18 +339,36 @@ def _late_near_floor(n, k):
     return values
 
 
+def _straddle_2_63(n, k):
+    """Distinct values on both sides of 2**63, shuffled: a signed pool or
+    compare takes those above it for negative."""
+    values = np.arange(n, dtype=np.uint64) + np.uint64(2**63 - n // 2)
+    return np.random.default_rng(7).permutation(values)
+
+
+def _shared_shift(n, k):
+    """Consecutive values, shuffled: runs of 2**11 distinct values share
+    one >> 11 value, the (k+1)-th largest's run reaching below and above it."""
+    values = np.arange(n, dtype=np.uint64) + np.uint64(5 << 11)
+    return np.random.default_rng(8).permutation(values)
+
+
 @pytest.mark.parametrize("draws", [
     lambda n, k: np.random.default_rng(5).integers(0, 8, size=n),
     _tied_draws,
     _late_near_floor,
     lambda n, k: np.arange(n, dtype=np.int64),
     lambda n, k: np.arange(n, dtype=np.int64)[::-1].copy(),
-], ids=["few-values", "tied-floor", "late-near-floor", "ascending", "descending"])
+    _straddle_2_63,
+    _shared_shift,
+], ids=["few-values", "tied-floor", "late-near-floor", "ascending", "descending",
+        "straddle-2**63", "shared-shift"])
 @pytest.mark.parametrize("k", [2, 443, CHUNK + 5])
 def test_order_stats_across_chunks(draws, k):
     # ties at the floor, a candidate just above it after the pool has
-    # compacted, ascending draws that compact it on every chunk and
-    # descending draws that never add to it
+    # compacted, ascending draws that compact it on every chunk,
+    # descending draws that never add to it, raw outputs of 2**63 and more,
+    # and distinct raw outputs that shift to one 53-bit draw
     n = 3 * CHUNK + 7
     values = draws(n, k)
     stub = _ChunkStub(values)
@@ -343,6 +376,9 @@ def test_order_stats_across_chunks(draws, k):
     ordered = np.sort(values)
     assert got.tolist() == [[ordered[-1], ordered[-1 - k]]]
     assert sum(stub.sizes) == n and max(stub.sizes) <= CHUNK
+    # shifting the selected pair equals selecting from the shifted draws
+    shifted = np.sort(values >> 11)
+    assert (got >> 11).tolist() == [[shifted[-1], shifted[-1 - k]]]
 
 
 def test_order_stats_of_random_arrays_match_sort():

@@ -101,3 +101,33 @@ def test_bench_pairs_summary_of_canned_lines():
     assert v["correct"] == {"base": False, "change": True}
     assert v["metrics"]["ops_per_s"]["change_won"] == 1
     assert v["metrics"]["ops_per_s"]["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_bench_pairs_flags_a_median_worse_than_its_bound():
+    # relative median changes against the bounds: ops_per_s -30% past 0.25,
+    # op_p50_ms +20% within 0.25, peak_rss_mb +7.5% past 0.05, setup_s
+    # better by half; op_p90_ms has no bound and trace_s a zero base median
+    bench_pairs = _load("bench_pairs")
+    base = {"ops_per_s": 100.0, "op_p50_ms": 10.0, "peak_rss_mb": 40.0, "setup_s": 0.2,
+            "op_p90_ms": 20.0, "trace_s": 0.0}
+    change = {"ops_per_s": 70.0, "op_p50_ms": 12.0, "peak_rss_mb": 43.0, "setup_s": 0.1,
+              "op_p90_ms": 90.0, "trace_s": 1.0}
+    runs = [{"workload": "w", "pair": 0, "seed": 1, "side": side, "line": _line(**values)}
+            for side, values in (("base", base), ("change", change))]
+    benchmark = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "op_p90_ms", "better": "lower"},
+        {"name": "trace_s", "better": "lower", "bound": 0.25}]}
+    assert bench_pairs.bounds(benchmark) == {"ops_per_s": 0.25, "op_p50_ms": 0.25,
+                                             "peak_rss_mb": 0.05, "setup_s": 0.25, "trace_s": 0.25}
+    summary = bench_pairs.summarize(runs, bench_pairs.directions(benchmark),
+                                    bench_pairs.bounds(benchmark))
+    worse = {name: m["worse_than_bound"] for name, m in summary["w"]["metrics"].items()}
+    assert worse == {"ops_per_s": True, "op_p50_ms": False, "peak_rss_mb": True,
+                     "setup_s": False, "op_p90_ms": None, "trace_s": None}
+    # with no bounds given, nothing is flagged either way
+    unbounded = bench_pairs.summarize(runs, bench_pairs.directions(benchmark))
+    assert {m["worse_than_bound"] for m in unbounded["w"]["metrics"].values()} == {None}
