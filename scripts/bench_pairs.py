@@ -59,7 +59,7 @@ def _better(change: float, base: float, better: str) -> bool:
     return change > base if better == "higher" else change < base
 
 
-def summarize(runs: list, better: dict, bound: dict | None = None) -> dict:
+def summarize(runs: list, better: dict, bound: dict) -> dict:
     """Per workload: run counts, correctness, and per metric each side's
     median and quartiles, the pairs the change won, the change of the
     median relative to the base median, whether the median moved the
@@ -96,7 +96,7 @@ def summarize(runs: list, better: dict, bound: dict | None = None) -> dict:
             gain = change_median - base_median if direction == "higher" else base_median - change_median
             base_iqr = stats["base"]["q3"] - stats["base"]["q1"]
             relative = (change_median - base_median) / base_median if base_median else None
-            limit = (bound or {}).get(name)
+            limit = bound.get(name)
             worse = None
             if relative is not None and limit is not None:
                 worse = (-relative if direction == "higher" else relative) > limit

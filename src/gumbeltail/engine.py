@@ -9,12 +9,15 @@ depends only on its index. Raw draws j in [0, 2**53) are mapped to
 ``(j + 0.5) / 2**53``; above 1/2 that value is rounded to a double, and
 the top draw, which rounds to 1, is mapped to the largest double below 1.
 The map is non-decreasing and keeps every value strictly inside (0, 1).
+``_open_uniforms`` is the one map from a raw 64-bit output to its uniform:
+it takes the 53-bit draw j = x >> 11 and applies that lattice.
 
-A lone stream is seeded by numpy's own SeedSequence. The replicate loop
-instead hashes the seed states of a run's streams in blocks of 1024, as
-uint32 array arithmetic equal to SeedSequence bit for bit (its hash
-constants do not depend on the entropy), and hands each state to PCG64. A
-stream whose seed or stream id is 2**64 or more falls back to SeedSequence.
+A lone stream hands [seed, stream_id] to PCG64, which builds numpy's own
+SeedSequence from it. The replicate loop instead hashes the seed states of
+a run's streams in blocks of 1024, as uint32 array arithmetic equal to
+SeedSequence bit for bit (its hash constants do not depend on the entropy),
+and hands each state to PCG64. A stream whose seed or stream id is 2**64 or
+more falls back to SeedSequence.
 
 Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
 full-range ``integers`` path, which copies them with no bound applied, and
@@ -29,8 +32,8 @@ The replicate loop never materializes a sorted sample: the estimator and
 its normalized form only consume the top order statistic and the (n-k)-th
 one, which a linear-time partition of the raw 64-bit outputs extracts.
 x >> 11 never decreases as x grows, so the shifted pair is exactly the
-pair of 53-bit order statistics, ties included. The two are shifted,
-mapped into (0, 1), and the quantile is evaluated once per run, on the M
+pair of 53-bit order statistics, ties included. The two go through
+``_open_uniforms``, and the quantile is evaluated once per run, on the M
 top and the M (n-k)-th uniforms. Every map is monotone, so this is exactly
 what sorting the uniforms and transforming them would produce (the test
 suite asserts bitwise equality with that slow reference path).
@@ -162,10 +165,7 @@ class RngSpec:
             )
 
     def generator(self) -> np.random.Generator:
-        if self._state is None:
-            seed = np.random.SeedSequence([self.seed, self.stream_id])
-        else:
-            seed = _SeedState(self._state)
+        seed = [self.seed, self.stream_id] if self._state is None else _SeedState(self._state)
         return np.random.Generator(np.random.PCG64(seed))
 
     def replicates(self, m: int) -> Iterator["RngSpec"]:
@@ -207,18 +207,11 @@ def _draw(generator: np.random.Generator, size: int) -> np.ndarray:
     return generator.integers(0, (1 << 64) - 1, size=size, dtype=np.uint64, endpoint=True)
 
 
-def _raw_draw(n: int, rng: RngSpec) -> np.ndarray:
-    """The stream's first n raw 53-bit integers."""
-    try:
-        raw = _draw(rng.generator(), n)
-    except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
-        raise DomainError(f"n={n} is beyond the largest array numpy can allocate") from None
+def _open_uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniforms in (0, 1) of raw 64-bit PCG64 outputs (see the module
+    docstring). Shifts raw in place, so that a large draw is not copied."""
     raw >>= _SHIFT
-    return raw
-
-
-def _open_uniforms(j: np.ndarray) -> np.ndarray:
-    u = (j + 0.5) * 2.0 ** -53
+    u = (raw + 0.5) * 2.0 ** -53
     return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
@@ -227,7 +220,11 @@ def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:
     per RngSpec."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    u = _open_uniforms(_raw_draw(n, rng))
+    try:
+        raw = _draw(rng.generator(), n)
+    except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
+        raise DomainError(f"n={n} is beyond the largest array numpy can allocate") from None
+    u = _open_uniforms(raw)
     u.sort()
     return u
 
@@ -315,9 +312,7 @@ def run_replicates(
     k = select_k(policy, n)
     nc = norming(model, n, k)
     log_k = math.log(k)
-    stats = _order_stats(n, k, m, rng)
-    stats >>= _SHIFT
-    u_top, u_k = _open_uniforms(stats).T
+    u_top, u_k = _open_uniforms(_order_stats(n, k, m, rng)).T
     spacing = model.quantile(1.0 - u_top) - model.quantile(1.0 - u_k)
     raw_t = spacing / log_k
     normalized = (spacing - nc.a_n * nc.b_n) / nc.a_n

@@ -4,10 +4,11 @@ norming constants and the log/exp transform calculus.
 Every model exposes its quantile in upper-tail form, ``quantile(u) =
 Q(1 - u)``, non-increasing in u. The auxiliary function r(u) is the slowly
 varying scale of the spacing between high quantiles; it is cataloged in
-closed form where one exists (``aux_exact`` says whether that form is exact
-or an asymptotic head), and recovered numerically otherwise, preferring the
-derivative form rho(u) = u Q'(1 - u) and falling back to the mean excess
-R(Q(1 - u)) by quadrature. The three routes agree in the u -> 0 limit.
+closed form where one exists, and for the normal family that form is an
+asymptotic head rather than the exact derivative. Otherwise r is recovered
+numerically, preferring the derivative form rho(u) = u Q'(1 - u) and
+falling back to the mean excess R(Q(1 - u)) by quadrature. The three
+routes agree in the u -> 0 limit.
 
 Only the quadrature route loads scipy.integrate, when it first runs; the
 normal-family quantiles and survivals load scipy.special (see normal.py).
@@ -46,7 +47,6 @@ class TailModel:
     quantile: Callable[[np.ndarray | float], np.ndarray | float]
     survival: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     aux_r: Callable[[float], float] | None = None
-    aux_exact: bool = True
     lower_endpoint: float = -math.inf
     mean_excess_finite: bool = True
 
@@ -226,7 +226,6 @@ def transform_log(model: TailModel) -> TailModel:
         quantile=quantile,
         survival=survival,
         aux_r=aux,
-        aux_exact=False,
         lower_endpoint=math.log(b) if b > 0.0 else -math.inf,
     )
 
@@ -282,7 +281,6 @@ def transform_exp(model: TailModel) -> TailModel:
         quantile=quantile,
         survival=survival,
         aux_r=aux,
-        aux_exact=False,
         lower_endpoint=math.exp(model.lower_endpoint),
         mean_excess_finite=vanishes,
     )
@@ -386,7 +384,6 @@ def iterated_log_model(p: int) -> TailModel:
         quantile=quantile,
         survival=survival,
         aux_r=aux,
-        aux_exact=False,
         lower_endpoint=0.0,
     )
 
@@ -403,7 +400,6 @@ def _exp_of_log_model() -> TailModel:
         quantile=quantile,
         survival=lambda x: np.exp(-np.exp(np.asarray(x, dtype=float))),
         aux_r=lambda u: 1.0 / math.log(1.0 / u),
-        aux_exact=True,
     )
 
 
@@ -415,7 +411,6 @@ def _normal_model() -> TailModel:
         quantile=normal_upper_quantile,
         survival=normal_sf,
         aux_r=lambda u: (2.0 * math.log(1.0 / u)) ** -0.5,
-        aux_exact=False,
     )
 
 
@@ -426,7 +421,6 @@ def _pareto_model() -> TailModel:
         quantile=lambda u: 1.0 / np.asarray(u, dtype=float),
         survival=lambda x: 1.0 / np.asarray(x, dtype=float),
         aux_r=lambda u: 1.0 / u,
-        aux_exact=True,
         lower_endpoint=1.0,
         mean_excess_finite=False,
     )
@@ -443,7 +437,6 @@ def _exponential_model() -> TailModel:
         quantile=quantile,
         survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
         aux_r=lambda u: 1.0,
-        aux_exact=True,
         lower_endpoint=0.0,
     )
 

@@ -638,6 +638,20 @@ def test_lambda_probe_beyond_float_range_is_none(capsys):
     assert all(value is not None for key, value in probe.items() if key != str(10**309))
 
 
+def test_lambda_is_unknown_where_the_aux_fails_at_1_over_n(capsys):
+    # mason has no cataloged aux; at n = 2e11, 1/n is below the finite
+    # difference's step floor, so r(1/n) raises and lambda is None
+    argv = ["norming", "--model", "mason", "--n", "200000000000"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] is None
+    assert list(doc["lambda_probe"].values()) == [None] * 4
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "\nlambda unknown\n" in out
+
+
 def test_norming_sqrt_k_is_exact_above_2_to_52(capsys):
     code, out, _ = run(capsys, ["norming", "--model", "normal", "--n", str(10**306),
                                 "--format", "json"])

@@ -49,12 +49,15 @@ def test_sorted_uniforms_contract():
     u = sorted_uniforms(5000, RngSpec(seed=1))
     assert np.all(np.diff(u) >= 0.0)
     assert u[0] > 0.0 and u[-1] < 1.0
+    with pytest.raises(DomainError, match="^need n >= 2, got 1$"):
+        sorted_uniforms(1, RngSpec(0))
 
 
 def test_open_uniforms_top_of_lattice():
-    # (j + 0.5) / 2**53 rounds to 1.0 at the top draw; it must stay below 1
-    j = np.array([0, 2**52, 2**53 - 2, 2**53 - 1])
-    u = _open_uniforms(j)
+    # (j + 0.5) / 2**53 rounds to 1.0 at the top draw; it must stay below 1.
+    # The raw outputs carry j in their top 53 bits; the low 11 do not count
+    j = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    u = _open_uniforms(j << np.uint64(11) | np.uint64(0x7FF))
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.all(np.diff(u) >= 0.0)
     assert u[-1] == np.nextafter(1.0, 0.0)
@@ -445,6 +448,8 @@ def test_ks_distance_step_geometry():
 def test_ks_distance_single_median_value():
     report = ks_distance([gumbel_quantile(0.5, 1.0)], 1.0)
     assert report.ks == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(DomainError, match="^need at least one value$"):
+        ks_distance([], 1.0)
 
 
 def test_ks_distance_total_mismatch():

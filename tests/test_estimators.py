@@ -109,6 +109,10 @@ def test_k_policy_parse_round_trip():
     # a well-formed number keeps the policy's own rule
     with pytest.raises(DomainError, match="logpow policy requires a finite ell > 0"):
         KPolicy.parse("logpow:-1")
+    with pytest.raises(DomainError, match="^fixed policy requires a positive k$"):
+        KPolicy.parse("fixed:0")
+    with pytest.raises(DomainError, match="^unknown k-policy kind: 'bogus'$"):
+        KPolicy("bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,10 @@ def test_hill_two_point_tail():
     # top value b over a flat shelf at a, k = 2 -> (b - a) / 2
     values = np.concatenate([np.full(12, 1.0), [4.0]])
     assert hill(SortedSample(values), 2) == pytest.approx(1.5, abs=1e-15)
+    # b - a beyond the float range
+    wide = SortedSample(np.array([-1.7e308, -1.7e308, 1.7e308, 1.7e308]))
+    with pytest.raises(DomainError, match="^H_n overflows a float at k=2$"):
+        hill(wide, 2)
 
 
 def test_hill_nonnegative_and_ignores_low_values():

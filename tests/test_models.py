@@ -118,7 +118,6 @@ def test_rho_agrees_with_exact_aux(name):
     # wherever the cataloged closed form is exact, the finite difference
     # must reproduce it to 1e-4 relative (it does far better)
     model = get_model(name)
-    assert model.aux_exact
     for u in (1e-8, 1e-5, 1e-2):
         assert rho_numeric(model, u) == pytest.approx(model.aux_r(u), rel=1e-4)
 
@@ -333,6 +332,11 @@ def test_transform_log_rejects_nonpositive_endpoint():
                      survival=lambda x: np.clip(-1.0 - np.asarray(x, dtype=float), 0.0, 1.0))
     with pytest.raises(DomainError, match=r"a = P\(X > 0\) must lie in \(0, 1\], got 0.0"):
         transform_log(dead)
+    # without a survival the mass above zero cannot be read off
+    blind = TailModel(name="blind", quantile=lambda u: 1.0 / np.asarray(u, dtype=float))
+    with pytest.raises(DomainError,
+                       match=r"^P\(X > 0\) is unknown for quantile-only model 'blind'$"):
+        transform_log(blind)
 
 
 def test_transform_exp_inverts_exp_of_log():
@@ -376,7 +380,7 @@ def test_transformed_aux_scales():
     # s(u) = R(Q(1-u)) / Q(1-u) for the log transform; for the exponential
     # base with R = 1 this is 1 / log(1/u)
     log_exp = transform_log(get_model("exponential"))
-    assert log_exp.aux_r is not None and not log_exp.aux_exact
+    assert log_exp.aux_r is not None
     assert float(log_exp.aux_r(1e-4)) == pytest.approx(1.0 / math.log(1e4), rel=1e-6)
     # t(u) = exp(Q(1-u)) R(Q(1-u)) for the exp transform of exp-of-log:
     # exp(Q) = log(1/u) and R(Q) = e^s E1(s) at s = log(1/u)
@@ -449,6 +453,8 @@ def test_iterated_log_spec_validation():
             iterated_log_model(p)
         with pytest.raises(DomainError, match="must be 1, 2 or 3"):
             get_model(f"iterlog({p})")
+    with pytest.raises(DomainError, match=r"^bad iterated-log depth in 'iterlog\(x\)'$"):
+        get_model("iterlog(x)")
 
 
 def test_iterlog_model_endpoints_and_monotonicity():

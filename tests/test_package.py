@@ -91,16 +91,8 @@ def test_every_public_name_is_read_by_a_program():
     assert READ_ONLY_BY_TESTS <= set(gumbeltail.__all__) - read
 
 
-# TailModel fields that no program reads, each kept on purpose
-UNREAD_MODEL_FIELDS = {
-    # ROADMAP item 4: the a_n route in the run diagnostics
-    "aux_exact",
-}
-
-
 def test_every_model_field_is_read_by_a_program():
     # a field that no program reads is a concept to delete
     read = _program_reads()
     fields = {field.name for field in dataclasses.fields(gumbeltail.TailModel)}
-    assert sorted(fields - read - UNREAD_MODEL_FIELDS) == []
-    assert UNREAD_MODEL_FIELDS <= fields - read
+    assert sorted(fields - read) == []

@@ -80,7 +80,7 @@ def test_bench_pairs_summary_of_canned_lines():
     better = bench_pairs.directions({"end_to_end": [
         {"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
         {"name": "peak_rss_mb", "better": "lower"}]})
-    summary = bench_pairs.summarize(runs, better)
+    summary = bench_pairs.summarize(runs, better, {})
 
     assert list(summary) == ["w", "v"]
     w = summary["w"]
@@ -129,5 +129,5 @@ def test_bench_pairs_flags_a_median_worse_than_its_bound():
     assert worse == {"ops_per_s": True, "op_p50_ms": False, "peak_rss_mb": True,
                      "setup_s": False, "op_p90_ms": None, "trace_s": None}
     # with no bounds given, nothing is flagged either way
-    unbounded = bench_pairs.summarize(runs, bench_pairs.directions(benchmark))
+    unbounded = bench_pairs.summarize(runs, bench_pairs.directions(benchmark), {})
     assert {m["worse_than_bound"] for m in unbounded["w"]["metrics"].values()} == {None}
