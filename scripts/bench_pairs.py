@@ -8,7 +8,9 @@ once on the change checkout, each in a fresh process started in its own
 tree, at the same seed and at the benchmark's ``run_seconds``. The base
 side runs first in even pairs and the change side in odd pairs, so that
 drift on a shared host falls on both alike. The last stdout line of every
-run (the benchmark's result line) is kept as it is.
+run (the benchmark's result line) is kept as it is, and so is its ``env``
+line, which names the source digest (``src_sha256_16``), git commit, numpy
+and scipy that the run measured.
 
 The summary gives, per workload and end-to-end metric, each side's median
 and quartiles over its runs, and how many pairs the change won: a pair is
@@ -115,15 +117,18 @@ def summarize(runs: list, better: dict, bound: dict) -> dict:
     return out
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a fresh process in tree; its parsed result line."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One benchmark run in a fresh process in tree: its parsed result line
+    and its parsed env line (None if it printed none)."""
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(argv)} in {tree} exited {done.returncode}: "
                  f"{done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    env = next((json.loads(text[len("env "):]) for text in lines if text.startswith("env ")), None)
+    return json.loads(lines[-1]), env
 
 
 def _checkout(path: str) -> Path:
@@ -154,9 +159,9 @@ def main() -> None:
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                line = run_bench(trees[side], workload, seed, seconds)
+                line, env = run_bench(trees[side], workload, seed, seconds)
                 runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
-                             "line": line})
+                             "line": line, "env": env})
                 print(f"{workload} pair {pair} seed {seed} {side:>6}: correct {line['correct']} "
                       f"failed {line['failed']} " + " ".join(
                           f"{name} {m['value']:.4g}" for name, m in line["metrics"].items()),

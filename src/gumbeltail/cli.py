@@ -221,7 +221,8 @@ def _cmd_norming(args) -> None:
         except GumbelTailError:
             probe[str(n_probe)] = None
     lam_text = "unknown" if nc.lam is None else f"{nc.lam:.12g}"
-    probe_text = " ".join(f"{key}:{value:.6g}" for key, value in probe.items() if value is not None)
+    probe_text = " ".join(f"{key}:" + ("unknown" if value is None else f"{value:.6g}")
+                          for key, value in probe.items())
     _emit(_config(args, policy), {"n": args.n, "k": k, "a_n": nc.a_n, "b_n": nc.b_n,
                                   "lambda": nc.lam, "lambda_probe": probe},
           out_text=f"k {k}\na_n {nc.a_n:.12g}\nb_n {nc.b_n:.12g}\nlambda {lam_text}\n"

@@ -297,7 +297,7 @@ def mason_quantile(u) -> float | np.ndarray:
     non-increasing on (0, 1].
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+    if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise DomainError("mason quantile needs 0 < u <= 1")
     m = np.floor(-np.log2(arr))
     hi = np.exp2(-m)

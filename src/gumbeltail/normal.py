@@ -5,7 +5,8 @@ refinement step against the erfc-based CDF, which brings the absolute
 error below 1e-13 on (0, 1) wherever exp(z^2/2) is representable.
 Refinement is skipped for |z| > 37.5 (p below ~4.6e-308), where
 exp(z^2/2) would overflow and the raw approximation is already the best
-double-precision answer available.
+double-precision answer available. Both of Acklam's branches and the
+Halley step run on every entry, and np.where selects the results.
 
 erfc is scipy.special's, imported by the first call that needs it, so that
 importing this module (and the command line) does not load scipy.
@@ -53,57 +54,34 @@ def normal_sf(x):
     return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
-def _acklam_lower_half(p: np.ndarray) -> np.ndarray:
-    """Raw approximation on (0, 0.5], where the lower-tail branch is exact
-    to work with (no 1 - p cancellation)."""
-    z = np.empty_like(p)
-    lo = p < _P_LOW
-    mid = ~lo
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        z[lo] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        z[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-                 (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    return z
-
-
 def normal_ppf(p):
     """Inverse standard normal CDF.
 
-    Accepts scalars or arrays with entries in (0, 1); 0 and 1 map to
-    -inf/+inf. Raises DomainError outside [0, 1]. Internally folds onto the
+    Accepts scalars or arrays with entries in [0, 1]; 0 and 1 map to
+    -inf/+inf. Raises DomainError outside [0, 1] and on NaN. Folds onto the
     lower half by symmetry (1 - p is exact there), so both tails get the
     full accuracy of the lower-tail branch.
     """
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p_arr = np.atleast_1d(np.ascontiguousarray(p_arr, dtype=float))
-    if np.any((p_arr < 0.0) | (p_arr > 1.0) | np.isnan(p_arr)):
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("p must lie in [0, 1]")
-
-    z = np.full_like(p_arr, np.nan)
-    z[p_arr == 0.0] = -np.inf
-    z[p_arr == 1.0] = np.inf
-    inner = (p_arr > 0.0) & (p_arr < 1.0)
-    if np.any(inner):
-        pi = p_arr[inner]
-        upper = pi > 0.5
-        ph = np.where(upper, 1.0 - pi, pi)
-        zi = _acklam_lower_half(ph)
-        # One Halley step against normal_cdf; skipped only where
-        # exp(z^2/2) would overflow (|z| > 37.5, p below ~1e-307).
-        refine = np.abs(zi) <= 37.5
-        if np.any(refine):
-            zr = zi[refine]
-            e = normal_cdf(zr) - ph[refine]
-            u = e * _SQRT2PI * np.exp(0.5 * zr * zr)
-            zi[refine] = zr - u / (1.0 + 0.5 * zr * u)
-        z[inner] = np.where(upper, -zi, zi)
-    return float(z[0]) if scalar else z
+    ph = np.minimum(p, 1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.sqrt(-2.0 * np.log(ph))
+        tail = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+        q = ph - 0.5
+        r = q * q
+        central = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+                  (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+        z = np.where(ph < _P_LOW, tail, central)
+        # One Halley step against normal_cdf; kept only where exp(z^2/2)
+        # is finite (|z| <= 37.5, p above ~1e-307).
+        u = (normal_cdf(z) - ph) * _SQRT2PI * np.exp(0.5 * z * z)
+        z = np.where(np.abs(z) <= 37.5, z - u / (1.0 + 0.5 * z * u), z)
+    z = np.where(ph == 0.0, -np.inf, z)
+    z = np.where(p > 0.5, -z, z)
+    return float(z) if z.ndim == 0 else z
 
 
 def normal_upper_quantile(u):

@@ -22,6 +22,7 @@ from gumbeltail import cli, engine
 from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
 from gumbeltail.errors import GumbelTailError
 from gumbeltail.estimators import SortedSample
+from gumbeltail.models import NormingConstants
 
 GRID_T = 1.0092454329104992
 GRID_H = 0.9466319172089102
@@ -155,6 +156,9 @@ def test_usage_errors(capsys, grid_file):
     for spec in ("logpow:abc", "fixed:2.5"):
         code, out, err = run(capsys, ["estimate", "--k-policy", spec, grid_file])
         assert (code, out, err) == (1, "", f"error: cannot parse k-policy spec: '{spec}'\n")
+    missing = grid_file + ".missing"
+    code, out, err = run(capsys, ["estimate", missing])
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot read {missing}: ")
     code, _, err = run(capsys, ["simulate", "--model", "pareto"])  # missing --n
     assert code == 1
 
@@ -558,6 +562,16 @@ def test_ks_rejects_bad_threshold_before_drawing(capsys, monkeypatch):
     assert "threshold" in err and not out
 
 
+def test_ks_without_finite_n_lambda_exits_2(capsys, monkeypatch):
+    def no_lambda(model, n, policy, m, rng):
+        constants = NormingConstants(a_n=1.0, b_n=0.0, lam=None, n=n, k=31)
+        return engine.ReplicateSet(model.name, np.zeros(m), np.zeros(m), constants)
+
+    monkeypatch.setattr(engine, "run_replicates", no_lambda)
+    code, out, err = run(capsys, ["ks", "--model", "normal", "--n", "1000", "--reps", "5"])
+    assert (code, out, err) == (2, "", "error: finite-n lambda unavailable for model 'normal'\n")
+
+
 # numpy refuses n = 1e20 before allocating anything; the table's sorted
 # sample of n = 1e15 (7 PiB), and the replicates' k+1 largest of n = 1e15
 # draws at k = 1e14 (1.6 PB with their pool), pass numpy's size check and
@@ -636,6 +650,10 @@ def test_lambda_probe_beyond_float_range_is_none(capsys):
     assert list(probe) == [str(10**e) for e in (306, 307, 308, 309)]
     assert probe[str(10**309)] is None
     assert all(value is not None for key, value in probe.items() if key != str(10**309))
+    code, out, _ = run(capsys, ["norming", "--model", "normal", "--n", str(10**306)])
+    assert code == 0
+    probes = [f"{10**e}:0.707107" for e in (306, 307, 308)] + [f"{10**309}:unknown"]
+    assert out.splitlines()[-1] == "lambda_probe " + " ".join(probes)
 
 
 def test_lambda_is_unknown_where_the_aux_fails_at_1_over_n(capsys):
@@ -650,6 +668,8 @@ def test_lambda_is_unknown_where_the_aux_fails_at_1_over_n(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert "\nlambda unknown\n" in out
+    assert out.splitlines()[-1] == ("lambda_probe 200000000000:unknown 2000000000000:unknown "
+                                    "20000000000000:unknown 200000000000000:unknown")
 
 
 def test_norming_sqrt_k_is_exact_above_2_to_52(capsys):

@@ -106,6 +106,9 @@ def test_rho_numeric_domain():
     for u in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DomainError, match=r"u must lie strictly inside \(0, 1\)"):
             rho_numeric(model, u)
+    flat = TailModel(name="flat", quantile=np.zeros_like)
+    with pytest.raises(DomainError, match=r"^rho\(0\.1\) = -0\.0 is not positive for 'flat'$"):
+        rho_numeric(flat, 0.1)
 
 
 def test_rho_step_underflow():
@@ -242,6 +245,12 @@ def test_norming_exp_of_log_closed_form():
 def test_norming_rejects_k_one():
     with pytest.raises(DomainError, match="need 2 <= k < n, got k=1, n=1000"):
         norming(get_model("exp-of-log"), 1000, 1)
+
+
+def test_norming_rejects_nonpositive_a_n():
+    zero_aux = TailModel(name="zero-aux", quantile=lambda u: -np.log(u), aux_r=lambda u: 0.0)
+    with pytest.raises(DomainError, match=r"^a_n = 0\.0 must be positive$"):
+        norming(zero_aux, 1000, 31)
 
 
 def test_norming_normal_asymptotic_scale():
@@ -402,8 +411,8 @@ def test_mason_quantile_examples():
 
 
 def test_mason_quantile_domain():
-    for u in (0.0, -0.1, 1.0 + 1e-9):
-        with pytest.raises(DomainError):
+    for u in (0.0, -0.1, 1.0 + 1e-9, math.nan, [0.5, math.nan]):
+        with pytest.raises(DomainError, match=r"mason quantile needs 0 < u <= 1"):
             mason_quantile(u)
 
 

@@ -1,5 +1,7 @@
-"""Inverse normal CDF against an independent bisection oracle."""
+"""Inverse normal CDF against an independent bisection oracle, and the bits
+of its output on a fixed grid."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -71,3 +73,28 @@ def test_sf_complements_cdf():
     x = np.linspace(-6.0, 6.0, 25)
     assert np.allclose(normal_sf(x) + normal_cdf(x), 1.0, atol=1e-14)
 
+
+
+# 0, 1, 0.5, the doubles next to 0 and 1, and 0.02425 (Acklam's branch
+# point) and its mirror with their neighbours
+EDGES = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53] + [
+    x for c in (0.02425, 0.97575) for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+LOG_GRID = np.logspace(-323, 0, 20001)
+PIN_GRID = np.concatenate([LOG_GRID, 1.0 - LOG_GRID, np.linspace(0.0, 1.0, 10001), EDGES])
+# sha256 of normal_ppf(PIN_GRID) as little-endian doubles, with numpy 2.4
+# and scipy 1.17; seeded normal-family outputs inherit these bits
+PIN_SHA256 = "cb10ec2c2fb24ec94ac729a2145760f82ce14c2412160534ae54139819b75406"
+
+
+def test_output_bits_are_pinned_on_a_fixed_grid():
+    out = normal_ppf(PIN_GRID)
+    assert out.shape == PIN_GRID.shape
+    assert hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest() == PIN_SHA256
+
+
+def test_scalar_input_gives_a_float_equal_to_the_array_entry():
+    out = normal_ppf(np.array(EDGES))
+    for p, z in zip(EDGES, out):
+        got = normal_ppf(float(p))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == z.tobytes()

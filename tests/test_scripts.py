@@ -3,6 +3,7 @@ must run to the end against the current package API."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +132,36 @@ def test_bench_pairs_flags_a_median_worse_than_its_bound():
     # with no bounds given, nothing is flagged either way
     unbounded = bench_pairs.summarize(runs, bench_pairs.directions(benchmark), {})
     assert {m["worse_than_bound"] for m in unbounded["w"]["metrics"].values()} == {None}
+
+
+def test_bench_pairs_keeps_each_runs_env_line(monkeypatch, tmp_path):
+    # a stubbed subprocess.run prints what bench/run.py prints: a comment,
+    # the env line naming the tree it ran in, and the result line last
+    bench_pairs = _load("bench_pairs")
+    trees = {}
+    for side in ("base", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").touch()
+        trees[side] = {"src_sha256_16": f"{side}-digest", "git_commit": f"{side}-commit",
+                       "numpy": "2.4.6", "scipy": "1.17.1"}
+    seen = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        seen.append(argv)
+        stdout = (f"# gumbeltail benchmark\nenv {json.dumps(trees[Path(cwd).name])}\n"
+                  f"{json.dumps(_line(ops_per_s=1.0))}\n")
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "env", "--pairs", "1",
+                                      "--base", str(tmp_path / "base"),
+                                      "--change", str(tmp_path / "change")])
+    bench_pairs.main()
+    doc = json.loads((tmp_path / "BENCH_env.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in json.loads(
+        (SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    assert len(seen) == len(doc["runs"]) == 2 * len(workloads)
+    for run in doc["runs"]:
+        assert run["env"] == trees[run["side"]]
+        assert run["line"] == _line(ops_per_s=1.0)
