@@ -153,8 +153,8 @@ def _add_common(sub, model=False, n=False, k=False, reps=False, seed=False, fmt=
     if reps:
         sub.add_argument("--reps", type=int, default=200, help="number of replicates")
     if seed:
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sub.add_argument("--stream", type=int, default=0, help="base stream id")
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed in [0, 2**64)")
+        sub.add_argument("--stream", type=int, default=0, help="base stream id in [0, 2**64)")
     if fmt:
         sub.add_argument("--format", choices=fmt, default="text")
         sub.add_argument("--out", help="write output to this path instead of stdout")

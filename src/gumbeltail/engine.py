@@ -12,12 +12,11 @@ The map is non-decreasing and keeps every value strictly inside (0, 1).
 ``_open_uniforms`` is the one map from a raw 64-bit output to its uniform:
 it takes the 53-bit draw j = x >> 11 and applies that lattice.
 
-A lone stream hands [seed, stream_id] to PCG64, which builds numpy's own
-SeedSequence from it. The replicate loop instead hashes the seed states of
-a run's streams in blocks of 1024, as uint32 array arithmetic equal to
-SeedSequence bit for bit (its hash constants do not depend on the entropy),
-and hands each state to PCG64. A stream whose seed or stream id is 2**64 or
-more falls back to SeedSequence.
+Seeds and stream ids lie in [0, 2**64). A lone stream hands [seed,
+stream_id] to PCG64, which builds numpy's own SeedSequence from it. The
+replicate loop instead hashes the seed states of a run's streams in blocks
+of 1024, as uint32 array arithmetic equal to SeedSequence bit for bit (its
+hash constants do not depend on the entropy), and hands each state to PCG64.
 
 Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
 full-range ``integers`` path, which copies them with no bound applied, and
@@ -51,7 +50,6 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -90,21 +88,15 @@ def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray
 
 
 def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
-    """PCG64 seed states of streams first..first+count-1, as (r, 4) uint64:
-    row i is SeedSequence([seed, first + i]).generate_state(4, np.uint64).
-
-    r <= count is the number of leading streams the batch covers, those
-    with seed and stream below 2**64: their at most four entropy words fit
-    SeedSequence's pool, so its hash runs no extra mixing pass.
-    """
-    rows = min(count, max(0, (1 << 64) - first)) if seed < 1 << 64 else 0
-    if rows == 0:
-        return np.empty((0, 4), dtype=np.uint64)
+    """PCG64 seed states of streams first..first+count-1, as (count, 4)
+    uint64: row i is SeedSequence([seed, first + i]).generate_state(4, np.uint64).
+    Seed and streams lie below 2**64, so their at most four entropy words fit
+    SeedSequence's pool, and its hash runs no extra mixing pass."""
     # the entropy words, zero-padded as SeedSequence pads its pool:
     # seed low [seed high], stream low, stream high
-    streams = np.arange(first, first + rows, dtype=np.uint64)
+    streams = np.arange(first, first + count, dtype=np.uint64)
     seed_words = 1 if seed <= _MASK32 else 2
-    pool = np.zeros((4, rows), dtype=np.uint32)
+    pool = np.zeros((4, count), dtype=np.uint32)
     pool[0] = seed & _MASK32
     pool[1] = seed >> 32
     pool[seed_words] = streams & _MASK32
@@ -147,7 +139,7 @@ def _register_seed_state() -> None:
 @dataclass(frozen=True)
 class RngSpec:
     """Seed and stream identifier of one deterministic uniform stream;
-    both must be non-negative (SeedSequence entropy).
+    both must lie in [0, 2**64).
 
     _state, when set by replicates(), is the stream's PCG64 seed state,
     equal to what SeedSequence([seed, stream_id]) generates; it is not
@@ -158,11 +150,9 @@ class RngSpec:
     _state: np.ndarray | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
-            raise DomainError(
-                f"seed and stream must be non-negative, got seed={self.seed}, "
-                f"stream={self.stream_id}"
-            )
+        if not (0 <= self.seed < 1 << 64 and 0 <= self.stream_id < 1 << 64):
+            raise DomainError(f"seed and stream must lie in [0, 2**64), got seed={self.seed}, "
+                              f"stream={self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         seed = [self.seed, self.stream_id] if self._state is None else _SeedState(self._state)
@@ -170,13 +160,16 @@ class RngSpec:
 
     def replicates(self, m: int) -> Iterator["RngSpec"]:
         """The streams of replicates 0..m-1 (stream_id + i), each with its
-        seed state hashed in blocks of _SEED_BLOCK streams."""
+        seed state hashed in blocks of _SEED_BLOCK streams. Raises
+        DomainError before the first stream if the last one reaches 2**64."""
+        if self.stream_id + m > 1 << 64:
+            raise DomainError(f"streams {self.stream_id}..{self.stream_id + m - 1} pass 2**64 - 1")
         _register_seed_state()
         for start in range(0, m, _SEED_BLOCK):
             first = self.stream_id + start
-            streams = range(first, first + min(_SEED_BLOCK, m - start))
-            for stream, state in zip_longest(streams, _seed_states(self.seed, first, len(streams))):
-                yield RngSpec(seed=self.seed, stream_id=stream, _state=state)
+            states = _seed_states(self.seed, first, min(_SEED_BLOCK, m - start))
+            for i, state in enumerate(states):
+                yield RngSpec(seed=self.seed, stream_id=first + i, _state=state)
 
 
 @dataclass(frozen=True)
@@ -286,7 +279,10 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
         raise DomainError(
             f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
         ) from None
-    stats = np.empty((m, 2), dtype=np.uint64)
+    try:
+        stats = np.empty((m, 2), dtype=np.uint64)
+    except (ValueError, MemoryError):
+        raise DomainError(f"reps={m} is beyond the largest array numpy can allocate") from None
     for i, replicate in enumerate(rng.replicates(m)):
         stats[i] = _top_and_kth(n, k, replicate, pool)
     return stats
@@ -334,7 +330,7 @@ def check_ks_threshold(threshold: float | None) -> None:
 
 
 def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> KsReport:
-    """One-sample KS distance of values against the lambda-scaled Gumbel.
+    """One-sample KS distance of finite values against the lambda-scaled Gumbel.
 
     The default threshold is the asymptotic 5% critical value 1.36/sqrt(M);
     a given threshold must pass check_ks_threshold.
@@ -342,8 +338,8 @@ def ks_distance(values, lambda_scale: float, threshold: float | None = None) -> 
     check_ks_threshold(threshold)
     v = np.sort(np.asarray(values, dtype=float))
     m = v.size
-    if m == 0:
-        raise DomainError("need at least one value")
+    if m == 0 or not np.all(np.isfinite(v)):
+        raise DomainError("need at least one value" if m == 0 else "KS values must be finite")
     ref = np.asarray(gumbel_cdf(v, lambda_scale))
     steps = np.arange(1, m + 1) / m
     ks = float(max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1.0 / m - ref))))

@@ -38,7 +38,7 @@ _QUAD_RTOL = 1e-8
 class TailModel:
     """A named distribution family seen through its upper tail.
 
-    quantile maps u in (0, 1) to Q(1 - u); survival, 1 - F(x), is optional
+    quantile maps u in (0, 1] to Q(1 - u); survival, 1 - F(x), is optional
     and needed only where r must come from quadrature. The support is
     [lower_endpoint, +inf).
     """
@@ -290,15 +290,23 @@ def transform_exp(model: TailModel) -> TailModel:
 # the catalog
 
 
+def _quantile_arg(u, name: str) -> np.ndarray:
+    """u as a float array, every entry in (0, 1], where each catalog quantile
+    is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
+    NaN included. A 0-d u is compared as a float, which is cheaper."""
+    arr = np.asarray(u, dtype=float)
+    if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
+        raise DomainError(f"{name} quantile needs 0 < u <= 1")
+    return arr
+
+
 def mason_quantile(u) -> float | np.ndarray:
     """Piecewise-linear quantile F^{-1}(1 - u) of the Mason distribution.
 
     Equal to m at dyadic u = 2^{-m} and linear in between; continuous and
     non-increasing on (0, 1].
     """
-    arr = np.asarray(u, dtype=float)
-    if not np.all((arr > 0.0) & (arr <= 1.0)):
-        raise DomainError("mason quantile needs 0 < u <= 1")
+    arr = _quantile_arg(u, "mason")
     m = np.floor(-np.log2(arr))
     hi = np.exp2(-m)
     out = m + (hi - arr) * np.exp2(m + 1.0)
@@ -365,8 +373,8 @@ def iterated_log_model(p: int) -> TailModel:
     cut = _iterated_log(40.0, p)
 
     def quantile(u):
-        u = np.asarray(u, dtype=float)
-        inner = log_chain(normal_upper_quantile(m * np.minimum(u, 1.0)))
+        u = _quantile_arg(u, f"iterlog({p})")
+        inner = log_chain(normal_upper_quantile(m * u))
         # support is [0, inf): a sub-ulp negative from the last log is a
         # rounding artifact, flattened to the endpoint
         return np.where(u >= 1.0, 0.0, np.maximum(inner, 0.0))
@@ -391,8 +399,8 @@ def iterated_log_model(p: int) -> TailModel:
 def _exp_of_log_model() -> TailModel:
     # exp(X) standard exponential: F(x) = 1 - exp(-e^x) on the whole line.
     def quantile(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
+        u = _quantile_arg(u, "exp-of-log")
+        with np.errstate(divide="ignore"):  # u = 1 gives log 0 = -inf
             return np.log(np.log(1.0 / u))
 
     return TailModel(
@@ -408,7 +416,7 @@ def _normal_model() -> TailModel:
     # derivative u / phi(Q(1-u)) is available through rho_numeric.
     return TailModel(
         name="normal",
-        quantile=normal_upper_quantile,
+        quantile=lambda u: normal_upper_quantile(_quantile_arg(u, "normal")),
         survival=normal_sf,
         aux_r=lambda u: (2.0 * math.log(1.0 / u)) ** -0.5,
     )
@@ -418,7 +426,7 @@ def _pareto_model() -> TailModel:
     # Unit Pareto, 1 - F(x) = 1/x on x >= 1; infinite mean excess.
     return TailModel(
         name="pareto",
-        quantile=lambda u: 1.0 / np.asarray(u, dtype=float),
+        quantile=lambda u: 1.0 / _quantile_arg(u, "pareto"),
         survival=lambda x: 1.0 / np.asarray(x, dtype=float),
         aux_r=lambda u: 1.0 / u,
         lower_endpoint=1.0,
@@ -427,14 +435,9 @@ def _pareto_model() -> TailModel:
 
 
 def _exponential_model() -> TailModel:
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(u)
-
     return TailModel(
         name="exponential",
-        quantile=quantile,
+        quantile=lambda u: -np.log(_quantile_arg(u, "exponential")),
         survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
         aux_r=lambda u: 1.0,
         lower_endpoint=0.0,

@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .estimators import KPolicy, SortedSample, de_haan_resnick_log_scale, select_k
+from .estimators import KPolicy, SortedSample, _check_k, de_haan_resnick_log_scale, select_k
 
 _LN2 = math.log(2.0)
 _TIE_TOL = 1e-9
@@ -65,8 +65,12 @@ def classify(sample: SortedSample, policy: KPolicy) -> ModelVerdict:
 
 
 def verdict(t: float, n: int, k: int) -> ModelVerdict:
-    """The model test on a log-scale estimate t = T_n at (n, k), n >= 100."""
+    """The model test on a finite log-scale estimate t = T_n at (n, k), with
+    n >= 100 and 2 <= k < n."""
     _check_n(n)
+    _check_k(k, n)
+    if not math.isfinite(t):
+        raise DomainError(f"T_n must be finite, got {t}")
     log_n = math.log(n)
     log_nk = math.log(n / k)
     lam = log_nk / log_n

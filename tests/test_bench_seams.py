@@ -21,18 +21,26 @@ def _load_tracing():
     return module
 
 
-def test_traced_seams_exist_and_are_restored():
+def _traced_run(argvs):
+    """The exit codes of the commands run under the installed tracer, the
+    tracer, and what uninstall put back."""
     tracing = _load_tracing()
-    before = {module: dict(vars(module)) for module in MODULES}
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes = [dispatch(["table", "--n-total", "200"]),
-                     dispatch(["norming", "--model", "log-normal", "--n", "10000",
-                               "--format", "json"])]
+            codes = [dispatch(argv) for argv in argvs]
     finally:
         tracing.uninstall(saved)
+    return codes, tracer, saved
+
+
+def test_traced_seams_exist_and_are_restored():
+    before = {module: dict(vars(module)) for module in MODULES}
+    codes, tracer, saved = _traced_run([
+        ["table", "--n-total", "200"],
+        ["norming", "--model", "log-normal", "--n", "10000", "--format", "json"],
+    ])
     assert codes == [0, 0]
     # every patched attribute but the shadowed builtin open was there to patch
     added = [f"{module.__name__}.{attr}" for module, attr, _ in saved
@@ -43,3 +51,19 @@ def test_traced_seams_exist_and_are_restored():
     assert spans["engine.reproduce_table"]["calls"] == 1
     assert spans["models.norming"]["calls"] >= 1
     assert spans["models.lambda_ratio"]["calls"] == 4
+
+
+def test_tracer_counts_every_seed_and_draw():
+    # one table stream, three simulate streams and two ks streams, whose
+    # n = 70000 > 2**16 runs the chunked draw: a seeding that bypasses
+    # RngSpec.generator, or a draw that bypasses Generator.integers, goes
+    # uncounted
+    codes, tracer, _ = _traced_run([
+        ["table", "--n-total", "200"],
+        ["simulate", "--model", "exp-of-log", "--n", "1000", "--reps", "3"],
+        ["ks", "--model", "normal", "--n", "70000", "--reps", "2", "--log-scale"],
+    ])
+    assert codes == [0, 0, 0]
+    snapshot = tracer.snapshot({None})
+    assert snapshot["spans"]["engine.seed"]["calls"] == 6
+    assert snapshot["counts"]["engine.uniforms_drawn"] == 200 + 3 * 1000 + 2 * 70000 == 143200

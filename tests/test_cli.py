@@ -590,6 +590,30 @@ def test_too_large_n_is_domain_error(capsys, argv, n):
     assert f"n={n}" in err
 
 
+# numpy refuses the (reps, 2) order statistics of 1e20 or 1e19 replicates
+# before allocating anything; 1e19 streams from stream 0 end below 2**64,
+# so only that refusal stops the run
+@pytest.mark.parametrize("command", ["simulate", "ks"])
+@pytest.mark.parametrize("reps", [10**20, 10**19])
+def test_too_many_reps_is_domain_error(capsys, command, reps):
+    code, out, err = run(capsys, [command, "--model", "exp-of-log", "--n", "10",
+                                  "--reps", str(reps)])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"reps={reps}" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", str(2**64)],
+    ["--stream", str(2**64)],
+    ["--stream", str(2**64 - 1), "--reps", "2"],
+])
+def test_seed_or_stream_past_64_bits_is_domain_error(capsys, flags):
+    code, out, err = run(capsys, ["simulate", "--model", "exp-of-log", "--n", "10", *flags])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "2**64" in err and err.count("\n") == 1
+
+
 # the raw draw of n = 2e7 (153 MiB) fits under an address-space cap of 400 MiB
 # above the interpreter's size at import; the table's transforms of it do not
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -76,11 +76,13 @@ def test_sorted_uniforms_mean():
 # stream seeding: the batch hash against numpy's SeedSequence
 
 
+# runs (seed, first stream, count) on both sides of 2**32 and 2**64, runs
+# longer than a block, and runs whose seed or streams leave [0, 2**64)
 SEED_STATE_CASES = [
     (seed, first, count)
     for seed in (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 5, 2**96 + 1)
-    for first, count in ((0, 3), (2**32 - 2, 4), (2**64 - 2, 4), (2**64, 2))
-] + [(7, 0, _SEED_BLOCK + 5), (2**40 + 3, 2**32 - 300, 2 * _SEED_BLOCK)]
+    for first, count in ((0, 3), (2**32 - 2, 4), (2**64 - 4, 4), (2**64 - 2, 4), (2**64, 2))
+] + [(7, 0, _SEED_BLOCK + 5), (2**40 + 3, 2**32 - 300, 2 * _SEED_BLOCK), (-1, 0, 1), (0, -1, 1)]
 
 
 def _oracle_state(seed, stream):
@@ -89,12 +91,15 @@ def _oracle_state(seed, stream):
 
 @pytest.mark.parametrize("seed,first,count", SEED_STATE_CASES)
 def test_seed_states_equal_seed_sequence(seed, first, count):
-    # seed and stream on both sides of 2**32 and 2**64, runs whose streams
-    # cross 2**32 or 2**64, and runs longer than a block; streams whose
-    # entropy does not fit the 4-word pool get no batch state
+    # a run whose seed and streams lie in [0, 2**64) gets one batch state per
+    # stream, equal to SeedSequence's up to the stream 2**64 - 1; any other
+    # run is rejected at RngSpec or before replicates builds its first stream
+    if not (0 <= seed < 2**64 and 0 <= first and first + count <= 2**64):
+        with pytest.raises(DomainError, match=r"2\*\*64"):
+            next(RngSpec(seed=seed, stream_id=first).replicates(count))
+        return
     states = _seed_states(seed, first, count)
-    fits = 0 if seed >= 2**64 else min(count, max(0, 2**64 - first))
-    assert states.shape == (fits, 4) and states.dtype == np.uint64
+    assert states.shape == (count, 4) and states.dtype == np.uint64
     for i, state in enumerate(states):
         assert np.array_equal(state, _oracle_state(seed, first + i)), (seed, first + i)
 
@@ -108,12 +113,12 @@ def test_replicate_state_is_not_compared_or_shown():
 
 
 @pytest.mark.parametrize("seed,stream_id", [
-    (5, 2**32 - 1200), (2**33, 2**32 - 1200), (2**64 + 3, 0), (9, 2**64 - 1500),
-], ids=["crosses-2**32", "two-word-seed", "seed-past-2**64", "crosses-2**64"])
+    (5, 2**32 - 1200), (2**33, 2**32 - 1200), (2**64 - 1, 0), (9, 2**64 - 2500),
+], ids=["crosses-2**32", "two-word-seed", "largest-seed", "ends-at-2**64-1"])
 def test_run_replicates_matches_lone_streams(seed, stream_id):
-    # M = 2500 spans three seed blocks; each replicate must equal the
-    # sorted reference path on RngSpec(seed, stream_id + i) alone, whether
-    # its state came from the batch or, past 2**64, from SeedSequence
+    # M = 2500 spans three seed blocks; each replicate, seeded from the
+    # batch hash, must equal the sorted reference path on
+    # RngSpec(seed, stream_id + i) alone, which numpy's SeedSequence seeds
     model = get_model("exp-of-log")
     n, k, m = 40, 6, 2500
     rs = run_replicates(model, n, KPolicy.fixed(k), m, RngSpec(seed=seed, stream_id=stream_id))
@@ -450,6 +455,9 @@ def test_ks_distance_single_median_value():
     assert report.ks == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DomainError, match="^need at least one value$"):
         ks_distance([], 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^KS values must be finite$"):
+            ks_distance([bad, 1.0], 1.0)
 
 
 def test_ks_distance_total_mismatch():

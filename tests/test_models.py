@@ -68,6 +68,24 @@ def test_quantile_non_increasing(name):
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+CATALOG = [name for name in model_names() if name != "iterlog(p)"] + [
+    "iterlog(1)", "iterlog(2)", "iterlog(3)",
+]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_quantile_domain(name):
+    # every catalog quantile rejects u outside (0, 1], NaN included, and
+    # gives its lower endpoint (-inf where the support is unbounded) at u = 1
+    model = get_model(name)
+    for u in (math.nan, 0.0, -0.5, 1.5, [0.5, math.nan]):
+        with pytest.raises(DomainError, match=r" quantile needs 0 < u <= 1$"):
+            model.quantile(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(model.quantile(1.0)) == model.lower_endpoint
+
+
 @pytest.mark.parametrize("name", ["exp-of-log", "normal", "pareto", "exponential",
                                   "log-normal", "iterlog(1)"])
 def test_cdf_quantile_round_trip(name):

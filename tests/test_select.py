@@ -1,6 +1,8 @@
 """Normal-versus-exponential test: deterministic grids, ties, invariance
 and simulated power."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,13 @@ def test_verdict_matches_classify(sample, spec):
 def test_verdict_small_n_rejected():
     with pytest.raises(DomainError, match="need n >= 100, got 99"):
         verdict(0.1, 99, 9)
+    # k = 1 would divide by log k = 0, and k = n by log(n/k) = 0
+    for k in (1, 1000):
+        with pytest.raises(DomainError, match=rf"^need 2 <= k < n, got k={k}, n=1000$"):
+            verdict(0.5, 1000, k)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^T_n must be finite"):
+            verdict(t, 1000, 31)
 
 
 def test_verdict_serialization():
