@@ -41,6 +41,10 @@ class TailModel:
     quantile maps u in (0, 1] to Q(1 - u); survival, 1 - F(x), is optional
     and needed only where r must come from quadrature. The support is
     [lower_endpoint, +inf).
+
+    Every model this module builds, transformed ones included, checks that
+    its quantile's u lies in (0, 1] (see _model); a TailModel built by hand
+    gets no such check.
     """
 
     name: str
@@ -55,6 +59,27 @@ class TailModel:
         if self.survival is None:
             raise DomainError(f"model {self.name!r} has no survival function")
         return self.survival(x)
+
+
+def _quantile_arg(u, name: str) -> np.ndarray:
+    """u as a float array, every entry in (0, 1], where each model's quantile
+    is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
+    NaN included. A 0-d u is compared as a float, which is cheaper."""
+    arr = np.asarray(u, dtype=float)
+    if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
+        raise DomainError(f"{name} quantile needs 0 < u <= 1")
+    return arr
+
+
+def _model(name: str, quantile, **fields) -> TailModel:
+    """The TailModel that every model of this module is built as: its
+    quantile checks u by _quantile_arg first, then calls quantile on the
+    float array."""
+
+    def checked(u):
+        return quantile(_quantile_arg(u, name))
+
+    return TailModel(name=name, quantile=checked, **fields)
 
 
 @dataclass(frozen=True)
@@ -181,6 +206,22 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
 # transforms
 
 
+def _transformed(model: TailModel, op: str, quantile, survival, aux,
+                 lower_endpoint: float, mean_excess_finite: bool = True) -> TailModel:
+    """The model op(X) of X ~ model. It keeps survival only when the base
+    has one, and aux only when the base can also integrate a finite mean
+    excess."""
+    has_sf = model.survival is not None
+    return _model(
+        f"{op}({model.name})",
+        quantile,
+        survival=survival if has_sf else None,
+        aux_r=aux if has_sf and model.mean_excess_finite else None,
+        lower_endpoint=lower_endpoint,
+        mean_excess_finite=mean_excess_finite,
+    )
+
+
 def transform_log(model: TailModel) -> TailModel:
     """Model of log X (positive part), per-tail renormalized by a = P(X > 0).
 
@@ -198,36 +239,24 @@ def transform_log(model: TailModel) -> TailModel:
     if not 0.0 < a <= 1.0:
         raise DomainError(f"a = P(X > 0) must lie in (0, 1], got {a}")
 
-    base_q = model.quantile
-
     def quantile(u):
-        return np.log(base_q(a * np.asarray(u, dtype=float)))
+        with np.errstate(divide="ignore"):  # Q = 0 at the endpoint gives log 0 = -inf
+            return np.log(model.quantile(a * u))
 
-    survival = None
-    if model.survival is not None:
-        base_sf = model.sf
+    def survival(x):
+        return np.asarray(model.sf(np.exp(np.asarray(x, dtype=float)))) / a
 
-        def survival(x):  # noqa: F811 - deliberate rebind
-            return np.asarray(base_sf(np.exp(np.asarray(x, dtype=float)))) / a
-
-    aux = None
-    if model.survival is not None and model.mean_excess_finite:
-        def aux(u: float) -> float:  # noqa: F811
-            q = float(base_q(u))
-            if not q > 0.0:
-                raise DomainError(
-                    f"log-scale aux of {model.name!r} needs Q(1 - u) > 0, got Q(1 - {u:g}) = {q}"
-                )
-            return mean_excess_R(model, q) / q
+    def aux(u: float) -> float:
+        q = float(model.quantile(u))
+        if not q > 0.0:
+            raise DomainError(
+                f"log-scale aux of {model.name!r} needs Q(1 - u) > 0, got Q(1 - {u:g}) = {q}"
+            )
+        return mean_excess_R(model, q) / q
 
     b = model.lower_endpoint
-    return TailModel(
-        name=f"log({model.name})",
-        quantile=quantile,
-        survival=survival,
-        aux_r=aux,
-        lower_endpoint=math.log(b) if b > 0.0 else -math.inf,
-    )
+    return _transformed(model, "log", quantile, survival, aux,
+                        lower_endpoint=math.log(b) if b > 0.0 else -math.inf)
 
 
 def _aux_vanishes(model: TailModel) -> bool:
@@ -256,48 +285,22 @@ def transform_exp(model: TailModel) -> TailModel:
             stacklevel=2,
         )
 
-    base_q = model.quantile
+    def survival(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0.0, np.asarray(model.sf(np.log(np.maximum(x, 1e-300)))), 1.0)
 
-    def quantile(u):
-        return np.exp(base_q(np.asarray(u, dtype=float)))
+    def aux(u: float) -> float:
+        q = float(model.quantile(u))
+        return math.exp(q) * mean_excess_R(model, q)
 
-    survival = None
-    if model.survival is not None:
-        base_sf = model.sf
-
-        def survival(x):  # noqa: F811
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(x > 0.0, np.asarray(base_sf(np.log(np.maximum(x, 1e-300)))), 1.0)
-
-    aux = None
-    if model.survival is not None and model.mean_excess_finite:
-        def aux(u: float) -> float:  # noqa: F811
-            q = float(base_q(u))
-            return math.exp(q) * mean_excess_R(model, q)
-
-    return TailModel(
-        name=f"exp({model.name})",
-        quantile=quantile,
-        survival=survival,
-        aux_r=aux,
-        lower_endpoint=math.exp(model.lower_endpoint),
-        mean_excess_finite=vanishes,
-    )
+    return _transformed(model, "exp", lambda u: np.exp(model.quantile(u)), survival, aux,
+                        lower_endpoint=math.exp(model.lower_endpoint),
+                        mean_excess_finite=vanishes)
 
 
 # ---------------------------------------------------------------------------
 # the catalog
-
-
-def _quantile_arg(u, name: str) -> np.ndarray:
-    """u as a float array, every entry in (0, 1], where each catalog quantile
-    is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
-    NaN included. A 0-d u is compared as a float, which is cheaper."""
-    arr = np.asarray(u, dtype=float)
-    if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
-        raise DomainError(f"{name} quantile needs 0 < u <= 1")
-    return arr
 
 
 def mason_quantile(u) -> float | np.ndarray:
@@ -373,7 +376,6 @@ def iterated_log_model(p: int) -> TailModel:
     cut = _iterated_log(40.0, p)
 
     def quantile(u):
-        u = _quantile_arg(u, f"iterlog({p})")
         inner = log_chain(normal_upper_quantile(m * u))
         # support is [0, inf): a sub-ulp negative from the last log is a
         # rounding artifact, flattened to the endpoint
@@ -387,25 +389,18 @@ def iterated_log_model(p: int) -> TailModel:
     def aux(u: float) -> float:
         return 1.0 / _iterated_scale(2.0 * math.log(1.0 / u), p)
 
-    return TailModel(
-        name=f"iterlog({p})",
-        quantile=quantile,
-        survival=survival,
-        aux_r=aux,
-        lower_endpoint=0.0,
-    )
+    return _model(f"iterlog({p})", quantile, survival=survival, aux_r=aux, lower_endpoint=0.0)
 
 
 def _exp_of_log_model() -> TailModel:
     # exp(X) standard exponential: F(x) = 1 - exp(-e^x) on the whole line.
     def quantile(u):
-        u = _quantile_arg(u, "exp-of-log")
         with np.errstate(divide="ignore"):  # u = 1 gives log 0 = -inf
             return np.log(np.log(1.0 / u))
 
-    return TailModel(
-        name="exp-of-log",
-        quantile=quantile,
+    return _model(
+        "exp-of-log",
+        quantile,
         survival=lambda x: np.exp(-np.exp(np.asarray(x, dtype=float))),
         aux_r=lambda u: 1.0 / math.log(1.0 / u),
     )
@@ -414,9 +409,9 @@ def _exp_of_log_model() -> TailModel:
 def _normal_model() -> TailModel:
     # The cataloged aux is the asymptotic head (2 log(1/u))^{-1/2}; the exact
     # derivative u / phi(Q(1-u)) is available through rho_numeric.
-    return TailModel(
-        name="normal",
-        quantile=lambda u: normal_upper_quantile(_quantile_arg(u, "normal")),
+    return _model(
+        "normal",
+        normal_upper_quantile,
         survival=normal_sf,
         aux_r=lambda u: (2.0 * math.log(1.0 / u)) ** -0.5,
     )
@@ -424,9 +419,9 @@ def _normal_model() -> TailModel:
 
 def _pareto_model() -> TailModel:
     # Unit Pareto, 1 - F(x) = 1/x on x >= 1; infinite mean excess.
-    return TailModel(
-        name="pareto",
-        quantile=lambda u: 1.0 / _quantile_arg(u, "pareto"),
+    return _model(
+        "pareto",
+        lambda u: 1.0 / u,
         survival=lambda x: 1.0 / np.asarray(x, dtype=float),
         aux_r=lambda u: 1.0 / u,
         lower_endpoint=1.0,
@@ -435,9 +430,9 @@ def _pareto_model() -> TailModel:
 
 
 def _exponential_model() -> TailModel:
-    return TailModel(
-        name="exponential",
-        quantile=lambda u: -np.log(_quantile_arg(u, "exponential")),
+    return _model(
+        "exponential",
+        lambda u: -np.log(u),
         survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
         aux_r=lambda u: 1.0,
         lower_endpoint=0.0,
@@ -445,11 +440,7 @@ def _exponential_model() -> TailModel:
 
 
 def _mason_model() -> TailModel:
-    return TailModel(
-        name="mason",
-        quantile=mason_quantile,
-        lower_endpoint=0.0,
-    )
+    return _model("mason", mason_quantile, lower_endpoint=0.0)
 
 
 def _log_normal_model() -> TailModel:

@@ -73,11 +73,23 @@ CATALOG = [name for name in model_names() if name != "iterlog(p)"] + [
 ]
 
 
-@pytest.mark.parametrize("name", CATALOG)
+def _built_model(name: str):
+    """A catalog model, or "log(<catalog name>)" / "exp(<catalog name>)"
+    for its transform."""
+    for op, transform in (("log(", transform_log), ("exp(", transform_exp)):
+        if name.startswith(op):
+            return transform(get_model(name[len(op):-1]))
+    return get_model(name)
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + [f"log({name})" for name in CATALOG] + ["exp(exp-of-log)"]
+)
 def test_catalog_quantile_domain(name):
-    # every catalog quantile rejects u outside (0, 1], NaN included, and
-    # gives its lower endpoint (-inf where the support is unbounded) at u = 1
-    model = get_model(name)
+    # every quantile the package builds, transformed ones included, rejects
+    # u outside (0, 1], NaN included, and gives its lower endpoint (-inf
+    # where the support is unbounded) at u = 1
+    model = _built_model(name)
     for u in (math.nan, 0.0, -0.5, 1.5, [0.5, math.nan]):
         with pytest.raises(DomainError, match=r" quantile needs 0 < u <= 1$"):
             model.quantile(u)
