@@ -36,7 +36,6 @@ from .models import (
     iterated_c_n,
     iterated_log_model,
     lambda_ratio,
-    mason_quantile,
     mean_excess_R,
     model_names,
     norming,
@@ -73,7 +72,6 @@ __all__ = [
     "iterated_log_model",
     "ks_distance",
     "lambda_ratio",
-    "mason_quantile",
     "mean_excess_R",
     "model_names",
     "normal_cdf",

@@ -14,9 +14,10 @@ it takes the 53-bit draw j = x >> 11 and applies that lattice.
 
 Seeds and stream ids lie in [0, 2**64). A lone stream hands [seed,
 stream_id] to PCG64, which builds numpy's own SeedSequence from it. The
-replicate loop instead hashes the seed states of a run's streams in blocks
-of 1024, as uint32 array arithmetic equal to SeedSequence bit for bit (its
-hash constants do not depend on the entropy), and hands each state to PCG64.
+replicate loop (_order_stats) instead walks the seed states of a run's
+streams, hashed in blocks of 1024 as uint32 array arithmetic equal to
+SeedSequence bit for bit (its hash constants do not depend on the entropy),
+and hands each state to PCG64 through the replicate's RngSpec.
 
 Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
 full-range ``integers`` path, which copies them with no bound applied, and
@@ -46,10 +47,8 @@ output, so the chunks make up the same stream as one call of size n.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,9 +141,9 @@ class RngSpec:
     """Seed and stream identifier of one deterministic uniform stream;
     both must lie in [0, 2**64).
 
-    _state, when set by replicates(), is the stream's PCG64 seed state,
-    equal to what SeedSequence([seed, stream_id]) generates; it is not
-    compared or shown."""
+    _state, when set by the replicate loop (_order_stats), is the stream's
+    PCG64 seed state, equal to what SeedSequence([seed, stream_id])
+    generates; it is not compared or shown."""
 
     seed: int
     stream_id: int = 0
@@ -158,19 +157,6 @@ class RngSpec:
     def generator(self) -> np.random.Generator:
         seed = [self.seed, self.stream_id] if self._state is None else _SeedState(self._state)
         return np.random.Generator(np.random.PCG64(seed))
-
-    def replicates(self, m: int) -> Iterator["RngSpec"]:
-        """The streams of replicates 0..m-1 (stream_id + i), each with its
-        seed state hashed in blocks of _SEED_BLOCK streams. Raises
-        DomainError before the first stream if the last one reaches 2**64."""
-        if self.stream_id + m > 1 << 64:
-            raise DomainError(f"streams {self.stream_id}..{self.stream_id + m - 1} pass 2**64 - 1")
-        _register_seed_state()
-        for start in range(0, m, _SEED_BLOCK):
-            first = self.stream_id + start
-            states = _seed_states(self.seed, first, min(_SEED_BLOCK, m - start))
-            for i, state in enumerate(states):
-                yield RngSpec(seed=self.seed, stream_id=first + i, _state=state)
 
 
 @dataclass(frozen=True)
@@ -236,8 +222,9 @@ def inverse_transform(model: TailModel, sorted_u: np.ndarray) -> SortedSample:
 _CHUNK = 1 << 16
 
 
-def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, int]:
-    """The largest and the (k+1)-th largest of the stream's first n raw
+def _top_and_kth(n: int, k: int, generator: np.random.Generator,
+                 pool: np.ndarray) -> tuple[int, int]:
+    """The largest and the (k+1)-th largest of the generator's next n raw
     64-bit outputs, drawn in chunks of at most _CHUNK into the uint64 pool,
     which holds min(n, 2k + 2 + _CHUNK) values.
 
@@ -246,7 +233,6 @@ def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, i
     only its values above the floor. Each compaction drops at least k+1
     values, so the partitions cost O(n) in all for any k.
     """
-    generator = rng.generator()
     keep = k + 1
     # One chunk is partitioned where it lies: the loop would copy it into the
     # pool, which measured about 7% fewer ops/s on replicate-small-n.
@@ -273,7 +259,9 @@ def _top_and_kth(n: int, k: int, rng: RngSpec, pool: np.ndarray) -> tuple[int, i
 
 def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
     """The (M, 2) raw 64-bit outputs X_{n,n} and X_{n-k,n} of replicates
-    0..M-1, as uint64; one pool serves every replicate."""
+    0..M-1, as uint64; one pool serves every replicate. Replicate i draws
+    stream stream_id + i, seeded from the batch hash of its block of
+    _SEED_BLOCK streams."""
     if n > np.iinfo(np.intp).max:
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate")
     try:
@@ -286,8 +274,14 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
         stats = np.empty((m, 2), dtype=np.uint64)
     except (ValueError, MemoryError):
         raise DomainError(f"reps={m} is beyond the largest array numpy can allocate") from None
-    for i, replicate in enumerate(rng.replicates(m)):
-        stats[i] = _top_and_kth(n, k, replicate, pool)
+    if rng.stream_id + m > 1 << 64:
+        raise DomainError(f"streams {rng.stream_id}..{rng.stream_id + m - 1} pass 2**64 - 1")
+    _register_seed_state()
+    for start in range(0, m, _SEED_BLOCK):
+        first = rng.stream_id + start
+        for i, state in enumerate(_seed_states(rng.seed, first, min(_SEED_BLOCK, m - start))):
+            replicate = RngSpec(seed=rng.seed, stream_id=first + i, _state=state)
+            stats[start + i] = _top_and_kth(n, k, replicate.generator(), pool)
     return stats
 
 
@@ -427,11 +421,11 @@ def format_table(rows: list[TableRow]) -> str:
 
 
 def write_replicates_csv(rs: ReplicateSet, fh) -> None:
-    """One row per replicate: index, t_n, normalized."""
-    writer = csv.writer(fh)
-    writer.writerow(["replicate", "t_n", "normalized"])
-    for i in range(rs.raw_t.size):
-        writer.writerow([i, repr(float(rs.raw_t[i])), repr(float(rs.normalized[i]))])
+    """One row per replicate: index, t_n, normalized; floats by repr, CRLF
+    line ends as the csv module writes them."""
+    rows = zip(rs.raw_t.tolist(), rs.normalized.tolist())
+    fh.write("replicate,t_n,normalized\r\n"
+             + "".join(f"{i},{t!r},{z!r}\r\n" for i, (t, z) in enumerate(rows)))
 
 
 def summarize(rs: ReplicateSet, report: KsReport | None = None) -> dict:

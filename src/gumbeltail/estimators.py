@@ -162,12 +162,15 @@ def de_haan_resnick(s: SortedSample, k: int) -> float:
 def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> float:
     """T_n applied to the element-wise log of a positive sample.
 
-    Monotonicity of log keeps the order statistics aligned, so this equals
+    Monotonicity of log keeps the order statistics aligned, so T_n reads
+    only the logs of the top k+1 values, and this equals
     de_haan_resnick(log(sample), k) exactly.
     """
-    if positive_sample.values[0] <= 0.0:
+    values = positive_sample.values
+    if values[0] <= 0.0:
         raise DomainError("log-scale estimator requires all values > 0")
-    return de_haan_resnick(SortedSample(np.log(positive_sample.values)), k)
+    _check_k(k, positive_sample.n)
+    return de_haan_resnick(SortedSample(np.log(values[-(k + 1):])), k)
 
 
 def hill(s: SortedSample, k: int) -> float:

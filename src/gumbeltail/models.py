@@ -109,9 +109,8 @@ def rho_numeric(model: TailModel, u: float) -> float:
     if u < 1e-11:
         raise DomainError(f"u={u} too small for a stable difference step")
     h = max(u * 1e-5, 1e-12)
-    g_plus = float(model.quantile(u + h))
-    g_minus = float(model.quantile(u - h))
-    rho = -u * (g_plus - g_minus) / (2.0 * h)
+    g_plus, g_minus = model.quantile(np.array([u + h, u - h]))
+    rho = -u * (float(g_plus) - float(g_minus)) / (2.0 * h)
     if not rho > 0.0:
         raise DomainError(f"rho({u}) = {rho} is not positive for {model.name!r}")
     return rho
@@ -182,7 +181,8 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     a_n = float(r(uk))
     if not a_n > 0.0:
         raise DomainError(f"a_n = {a_n} must be positive")
-    b_n = (float(model.quantile(1.0 / n)) - float(model.quantile(uk))) / a_n
+    q_top, q_k = model.quantile(np.array([1.0 / n, uk]))
+    b_n = (float(q_top) - float(q_k)) / a_n
     if not math.isfinite(b_n):
         raise DomainError(f"b_n = {b_n} is not finite: a quantile of {model.name!r} overflows")
     try:
@@ -303,17 +303,13 @@ def transform_exp(model: TailModel) -> TailModel:
 # the catalog
 
 
-def mason_quantile(u) -> float | np.ndarray:
-    """Piecewise-linear quantile F^{-1}(1 - u) of the Mason distribution.
-
-    Equal to m at dyadic u = 2^{-m} and linear in between; continuous and
-    non-increasing on (0, 1].
-    """
-    arr = _quantile_arg(u, "mason")
-    m = np.floor(-np.log2(arr))
-    hi = np.exp2(-m)
-    out = m + (hi - arr) * np.exp2(m + 1.0)
-    return float(out) if np.ndim(u) == 0 else out
+def _mason(u: np.ndarray) -> float | np.ndarray:
+    """Piecewise-linear quantile F^{-1}(1 - u) of the Mason distribution on
+    checked u: equal to m at dyadic u = 2^{-m} and linear in between;
+    continuous and non-increasing on (0, 1]."""
+    m = np.floor(-np.log2(u))
+    out = m + (np.exp2(-m) - u) * np.exp2(m + 1.0)
+    return float(out) if u.ndim == 0 else out
 
 
 def _iterated_log(x: float, p: int) -> float:
@@ -440,7 +436,7 @@ def _exponential_model() -> TailModel:
 
 
 def _mason_model() -> TailModel:
-    return _model("mason", mason_quantile, lower_endpoint=0.0)
+    return _model("mason", _mason, lower_endpoint=0.0)
 
 
 def _log_normal_model() -> TailModel:

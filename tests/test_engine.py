@@ -16,6 +16,7 @@ from gumbeltail.engine import (
     _order_stats,
     _open_uniforms,
     _seed_states,
+    _top_and_kth,
     gumbel_cdf,
     inverse_transform,
     ks_distance,
@@ -93,10 +94,10 @@ def _oracle_state(seed, stream):
 def test_seed_states_equal_seed_sequence(seed, first, count):
     # a run whose seed and streams lie in [0, 2**64) gets one batch state per
     # stream, equal to SeedSequence's up to the stream 2**64 - 1; any other
-    # run is rejected at RngSpec or before replicates builds its first stream
+    # run is rejected at RngSpec or before _order_stats draws its first stream
     if not (0 <= seed < 2**64 and 0 <= first and first + count <= 2**64):
         with pytest.raises(DomainError, match=r"2\*\*64"):
-            next(RngSpec(seed=seed, stream_id=first).replicates(count))
+            _order_stats(4, 2, count, RngSpec(seed=seed, stream_id=first))
         return
     states = _seed_states(seed, first, count)
     assert states.shape == (count, 4) and states.dtype == np.uint64
@@ -105,7 +106,7 @@ def test_seed_states_equal_seed_sequence(seed, first, count):
 
 
 def test_replicate_state_is_not_compared_or_shown():
-    first, = RngSpec(seed=3, stream_id=5).replicates(1)
+    first = RngSpec(seed=3, stream_id=5, _state=_seed_states(3, 5, 1)[0])
     assert first._state is not None
     assert first == RngSpec(seed=3, stream_id=5)
     assert hash(first) == hash(RngSpec(seed=3, stream_id=5))
@@ -311,22 +312,21 @@ def test_streamed_replicates_match_sorted_reference_path(n, k):
 
 
 class _ChunkStub:
-    """Stands in for an RngSpec whose generator hands out fixed values in
-    order, whatever chunk sizes are asked for; records the sizes."""
+    """Stands in for a generator that hands out fixed values in order,
+    whatever chunk sizes are asked for; records the sizes."""
 
     def __init__(self, values):
         self.values, self.sizes = values, []
-
-    def replicates(self, m):
-        return [self] * m
-
-    def generator(self):
-        return self
 
     def integers(self, low, high, size, dtype, endpoint):
         start = sum(self.sizes)
         self.sizes.append(size)
         return self.values[start:start + size].astype(dtype)
+
+
+def _pool(n, k):
+    """The pool _order_stats allocates for (n, k)."""
+    return np.empty(min(n, 2 * (k + 1) + CHUNK), dtype=np.uint64)
 
 
 def _tied_draws(n, k):
@@ -380,13 +380,13 @@ def test_order_stats_across_chunks(draws, k):
     n = 3 * CHUNK + 7
     values = draws(n, k)
     stub = _ChunkStub(values)
-    got = _order_stats(n, k, 1, stub)
+    got = np.array(_top_and_kth(n, k, stub, _pool(n, k)), dtype=np.uint64)
     ordered = np.sort(values)
-    assert got.tolist() == [[ordered[-1], ordered[-1 - k]]]
+    assert got.tolist() == [ordered[-1], ordered[-1 - k]]
     assert sum(stub.sizes) == n and max(stub.sizes) <= CHUNK
     # shifting the selected pair equals selecting from the shifted draws
     shifted = np.sort(values >> 11)
-    assert (got >> 11).tolist() == [[shifted[-1], shifted[-1 - k]]]
+    assert (got >> 11).tolist() == [shifted[-1], shifted[-1 - k]]
 
 
 def test_order_stats_of_random_arrays_match_sort():
@@ -398,8 +398,8 @@ def test_order_stats_of_random_arrays_match_sort():
         k = int(draws.integers(1, n))
         values = draws.integers(0, 1 << 53, size=n)
         ordered = np.sort(values)
-        got = _order_stats(n, k, 1, _ChunkStub(values))
-        assert got.tolist() == [[ordered[-1], ordered[-1 - k]]], (n, k)
+        got = _top_and_kth(n, k, _ChunkStub(values), _pool(n, k))
+        assert [int(v) for v in got] == [ordered[-1], ordered[-1 - k]], (n, k)
 
 
 def test_run_replicates_stores_at_most_64_bytes_per_replicate():

@@ -19,7 +19,6 @@ from gumbeltail.models import (
     iterated_c_n,
     iterated_log_model,
     lambda_ratio,
-    mason_quantile,
     mean_excess_R,
     model_names,
     norming,
@@ -312,9 +311,19 @@ def test_norming_integer_k_deviation_bound():
 @pytest.mark.parametrize("name", ["exp-of-log", "normal", "exponential", "pareto",
                                   "log-normal", "iterlog(1)", "mason"])
 def test_norming_b_n_nonnegative(name):
-    nc = norming(get_model(name), 10**4, 100)
+    # norming evaluates each quantile pair in one call; that must equal two
+    # scalar calls bit for bit, for b_n and for mason's numeric a_n
+    model = get_model(name)
+    n, k = 10**4, 100
+    nc = norming(model, n, k)
     assert nc.a_n > 0.0
     assert nc.b_n >= 0.0
+    assert nc.b_n == (float(model.quantile(1.0 / n)) - float(model.quantile(k / n))) / nc.a_n
+    if name == "mason":
+        u = k / n
+        h = max(u * 1e-5, 1e-12)
+        g_plus, g_minus = float(model.quantile(u + h)), float(model.quantile(u - h))
+        assert nc.a_n == -u * (g_plus - g_minus) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +443,34 @@ def test_transformed_aux_scales():
 
 
 def test_mason_quantile_examples():
-    assert mason_quantile(0.125) == 3.0          # dyadic point 2^-3
-    assert mason_quantile(0.375) == 1.5          # 1 + (0.5 - 0.375) * 4
-    assert mason_quantile(0.75) == 0.5           # 0 + (1 - 0.75) * 2
-    assert mason_quantile(1.0) == 0.0
+    mason = get_model("mason").quantile
+    assert mason(0.125) == 3.0          # dyadic point 2^-3
+    assert mason(0.375) == 1.5          # 1 + (0.5 - 0.375) * 4
+    assert mason(0.75) == 0.5           # 0 + (1 - 0.75) * 2
+    assert mason(1.0) == 0.0
 
 
 def test_mason_quantile_domain():
+    mason = get_model("mason").quantile
     for u in (0.0, -0.1, 1.0 + 1e-9, math.nan, [0.5, math.nan]):
         with pytest.raises(DomainError, match=r"mason quantile needs 0 < u <= 1"):
-            mason_quantile(u)
+            mason(u)
 
 
 def test_mason_continuity_at_dyadic_breakpoints():
+    mason = get_model("mason").quantile
     for m in range(1, 21):
         h = 2.0 ** -m
         delta = h * 1e-14
-        left = mason_quantile(h - delta)
-        right = mason_quantile(h + delta)
+        left = mason(h - delta)
+        right = mason(h + delta)
         assert abs(left - right) <= 1e-12
-        assert mason_quantile(h) == float(m)
+        assert mason(h) == float(m)
 
 
 def test_mason_non_increasing():
     u = np.linspace(1e-6, 1.0, 4001)
-    q = mason_quantile(u)
+    q = get_model("mason").quantile(u)
     assert np.all(np.diff(q) <= 1e-12)
 
 
