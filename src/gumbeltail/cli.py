@@ -111,10 +111,8 @@ def _read_sample(path: str) -> SortedSample:
             if values.shape[1] != 1:
                 raise GumbelTailError(_non_numeric(
                     path, fh, f"its lines hold {values.shape[1]} fields, not one number"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: open refuses a path with a NUL byte
         raise _UsageError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # open refuses the path, as one with a NUL byte
-        raise GumbelTailError(f"non-numeric line in {path}: {exc}") from None
     if values.shape[0] < 2:
         raise GumbelTailError(f"{path} holds fewer than two values")
     return SortedSample.from_values(values[:, 0])
@@ -138,7 +136,7 @@ def _emit(config: dict, payload: dict, out_text: str | None = None) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: open refuses a path with a NUL byte
         raise _UsageError(f"cannot write {out}: {exc}") from None
 
 

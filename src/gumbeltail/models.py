@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import estimators
 from .errors import AuxNotVanishing, DomainError
 from .estimators import _check_k
 from .normal import normal_sf, normal_upper_quantile
@@ -40,7 +41,7 @@ class TailModel:
 
     quantile maps u in (0, 1] to Q(1 - u); survival, 1 - F(x), is optional
     and needed only where r must come from quadrature. The support is
-    [lower_endpoint, +inf).
+    [lower_endpoint, +inf), and survival need only be right on it (see sf).
 
     Every model this module builds, transformed ones included, checks that
     its quantile's u lies in (0, 1] (see _model); a TailModel built by hand
@@ -55,9 +56,14 @@ class TailModel:
     mean_excess_finite: bool = True
 
     def sf(self, x):
-        """Survival 1 - F(x); raises DomainError for a quantile-only model."""
+        """Survival 1 - F(x), clamping x to [lower_endpoint, inf) first (a float
+        by max, cheaper than np.maximum): 1 at and below the endpoint, NaN at
+        NaN. Raises DomainError for a quantile-only model."""
         if self.survival is None:
             raise DomainError(f"model {self.name!r} has no survival function")
+        lo = self.lower_endpoint
+        if lo > -math.inf:
+            x = max(x, lo) if isinstance(x, float) else np.maximum(x, lo)
         return self.survival(x)
 
 
@@ -195,9 +201,7 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
 def lambda_ratio(model: TailModel, policy, n: int) -> float:
     """Finite-n ratio r(1/n) / r(k/n) with k from the policy; probing a grid
     of n estimates the limit lambda."""
-    from .estimators import select_k  # per call: bench/tracing.py wraps estimators.select_k
-
-    k = select_k(policy, n)
+    k = estimators.select_k(policy, n)
     r = _aux(model)
     return float(r(1.0 / n)) / float(r(k / n))
 
@@ -286,9 +290,8 @@ def transform_exp(model: TailModel) -> TailModel:
         )
 
     def survival(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0.0, np.asarray(model.sf(np.log(np.maximum(x, 1e-300)))), 1.0)
+        with np.errstate(divide="ignore"):  # x = 0 is the endpoint, log 0 = -inf
+            return model.sf(np.log(x))
 
     def aux(u: float) -> float:
         q = float(model.quantile(u))
@@ -378,9 +381,8 @@ def iterated_log_model(p: int) -> TailModel:
         return np.where(u >= 1.0, 0.0, np.maximum(inner, 0.0))
 
     def survival(x):
-        v = np.asarray(x, dtype=float)
-        inner = normal_sf(exp_chain(np.minimum(v, cut))) / m
-        return np.where(v <= 0.0, 1.0, np.where(v > cut, 0.0, inner))
+        # at the endpoint x = 0 this is exactly 1: e_p(0) is e_{p-1}(1) bit for bit
+        return np.where(x > cut, 0.0, normal_sf(exp_chain(np.minimum(x, cut))) / m)
 
     def aux(u: float) -> float:
         return 1.0 / _iterated_scale(2.0 * math.log(1.0 / u), p)
@@ -418,7 +420,7 @@ def _pareto_model() -> TailModel:
     return _model(
         "pareto",
         lambda u: 1.0 / u,
-        survival=lambda x: 1.0 / np.asarray(x, dtype=float),
+        survival=lambda x: 1.0 / x,
         aux_r=lambda u: 1.0 / u,
         lower_endpoint=1.0,
         mean_excess_finite=False,
@@ -429,7 +431,7 @@ def _exponential_model() -> TailModel:
     return _model(
         "exponential",
         lambda u: -np.log(u),
-        survival=lambda x: np.exp(-np.asarray(x, dtype=float)),
+        survival=lambda x: np.exp(-x),
         aux_r=lambda u: 1.0,
         lower_endpoint=0.0,
     )

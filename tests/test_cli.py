@@ -159,6 +159,9 @@ def test_usage_errors(capsys, grid_file):
     missing = grid_file + ".missing"
     code, out, err = run(capsys, ["estimate", missing])
     assert (code, out) == (1, "") and err.startswith(f"error: cannot read {missing}: ")
+    for command in ("estimate", "test"):  # open refuses a path with a NUL byte
+        code, out, err = run(capsys, [command, "a\x00b"])
+        assert (code, out) == (1, "") and err.startswith("error: cannot read a\x00b: ")
     code, _, err = run(capsys, ["simulate", "--model", "pareto"])  # missing --n
     assert code == 1
 
@@ -276,6 +279,104 @@ def test_file_commands_exit_with_a_code_on_random_content(values, extra):
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
     finally:
         os.remove(path)
+
+
+BAD_NUMBERS = st.sampled_from(["nan", "1e400", str(2**64), "-1"])
+# "<dir>" stands for a fresh directory holding the sample file "sample.txt";
+# good entries are repeated so that more argv run to the end (about one
+# in six exits 0)
+PATHS = st.sampled_from(["<dir>/sample.txt"] * 4 + ["<dir>/missing.txt", "<dir>/a\x00b"])
+OUTS = st.sampled_from(["<dir>/out.txt"] * 3 + ["<dir>", "<dir>/missing/x", "<dir>/a\x00b"])
+MODELS = st.sampled_from(["exp-of-log", "normal", "log-normal", "pareto", "exponential",
+                          "gamma-tail", "mason", "iterlog(1)", "iterlog(2)", "iterlog(3)",
+                          "iterlog(0)", "bogus"])
+K_SPECS = st.sampled_from(["sqrt", "logpow:1", "logpow:2.5", "fixed:5"] * 2 + [
+    "logpow:nan", "logpow:-1", "fixed:2.5", "what:1", ""])
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for dispatch from a bounded grammar: every command and format,
+    each command's positional and required options, each optional flag
+    present or not, and one value in eight a bad number."""
+    command = draw(st.sampled_from(["estimate", "norming", "simulate", "ks", "table", "test"]))
+    argv = [command]
+
+    def number(good):
+        return draw(BAD_NUMBERS) if draw(st.integers(0, 7)) == 0 else str(draw(good))
+
+    def maybe(flag, value=None):
+        if draw(st.booleans()):
+            argv.extend([flag] if value is None else [flag, value()])
+
+    if command in ("estimate", "test"):
+        argv.append(draw(PATHS))
+    if command in ("norming", "simulate", "ks"):
+        argv += ["--model", draw(MODELS), "--n", number(st.integers(-1, 3000))]
+    if command != "table":
+        k = draw(st.sampled_from(["", "", "--k", "--k-policy", "--k-policy", "both"]))
+        if k in ("--k", "both"):
+            argv += ["--k", number(st.integers(1, 60))]
+        if k in ("--k-policy", "both"):
+            argv += ["--k-policy", draw(K_SPECS)]
+    if command in ("simulate", "ks"):
+        maybe("--reps", lambda: number(st.integers(0, 4)))
+        maybe("--log-scale")
+    if command == "ks":
+        maybe("--threshold", lambda: draw(st.sampled_from(["0.5", "2", "0", "nan", "1e400"])))
+    if command == "table":
+        argv += ["--n-total", number(st.integers(90, 150))]
+    if command in ("simulate", "ks", "table"):
+        maybe("--seed", lambda: number(SEEDS))
+        maybe("--stream", lambda: number(SEEDS))
+    maybe("--format", lambda: draw(st.sampled_from(["text", "csv", "json"])))
+    maybe("--out", lambda: draw(OUTS))
+    return argv
+
+
+def _sample_bytes(seed_n):
+    """n exponential values from a seeded generator, one repr per line."""
+    seed, n = seed_n
+    values = np.random.default_rng(seed).exponential(size=n)
+    return "\n".join(repr(float(v)) for v in values).encode()
+
+
+# sample files: random bytes, or up to 300 exponential values (from 100 on,
+# `test` runs to its verdict) with at times a bad line after them
+NUMERIC_FILES = st.builds(
+    lambda good, bad: good + bad,
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 300)).map(_sample_bytes),
+    st.sampled_from([b""] * 5 + [b"\nnan", b"\n-1", b"\n\xff"]),
+)
+SAMPLE_FILES = st.one_of(NUMERIC_FILES, NUMERIC_FILES, st.binary(max_size=64))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_cli_argv(), content=SAMPLE_FILES)
+def test_every_exit_path_ends_in_a_code_and_one_line(argv, content):
+    # whatever the argv, dispatch returns 0, 1 or 2; a failure prints one
+    # "error: " line and nothing on stdout, and json output holds no NaN or
+    # Infinity
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "sample.txt"), "wb") as fh:
+            fh.write(content)
+        argv = [arg.replace("<dir>", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
+            assert err.getvalue().startswith("error: ")
+            return
+        if "json" not in argv:
+            return
+        text = out.getvalue()
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+                text = fh.read()
+        json.loads(text, parse_constant=_reject_constant)
 
 
 def _reference_read(path):
@@ -463,9 +564,10 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
     ["norming", "--model", "normal", "--n", "10000"],
     ["table", "--n-total", "200"],
 ], ids=["simulate-csv", "norming", "table"])
-@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "nul-byte"])
 def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
-    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    out = {"missing-dir": tmp_path / "missing" / "x", "directory": tmp_path,
+           "nul-byte": tmp_path / "a\x00b"}[target]
     code, _, err = run(capsys, argv + ["--out", str(out)])
     assert code == 1
     assert "error" in err and "cannot write" in err

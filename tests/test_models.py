@@ -97,6 +97,33 @@ def test_catalog_quantile_domain(name):
         assert float(model.quantile(1.0)) == model.lower_endpoint
 
 
+WITH_SURVIVAL = [name for name in CATALOG if name != "mason"]
+
+
+@pytest.mark.parametrize("name", WITH_SURVIVAL + [f"log({name})" for name in WITH_SURVIVAL] + [
+    "exp(exp-of-log)", "exp(normal)", "exp(exponential)", "exp(pareto)",
+])
+def test_survival_is_one_at_and_below_the_support(name):
+    # sf clamps x to [lower_endpoint, inf), so no survival has to know its
+    # support: S is exactly 1 at and below the endpoint and NaN stays NaN
+    if name in ("exp(exponential)", "exp(pareto)"):
+        with pytest.warns(AuxNotVanishing):
+            model = _built_model(name)
+    else:
+        model = _built_model(name)
+    lo = model.lower_endpoint
+    start = lo if math.isfinite(lo) else -5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (lo, lo - 1.0):
+            assert float(model.sf(x)) == 1.0
+        assert np.array_equal(model.sf(np.array([lo, lo - 1.0])), [1.0, 1.0])
+        assert math.isnan(float(model.sf(math.nan)))
+        grid = start + np.linspace(0.0, 10.0, 41)
+        values = np.concatenate([np.ravel(model.sf(grid)), [float(model.sf(x)) for x in grid]])
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
 @pytest.mark.parametrize("name", ["exp-of-log", "normal", "pareto", "exponential",
                                   "log-normal", "iterlog(1)"])
 def test_cdf_quantile_round_trip(name):
