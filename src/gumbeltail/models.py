@@ -35,25 +35,40 @@ _TAIL_TRUNCATION = 1e-18
 _QUAD_RTOL = 1e-8
 
 
+def _quantile_arg(u, name: str) -> np.ndarray:
+    """u as a float array, every entry in (0, 1], where each model's quantile
+    is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
+    NaN included. A 0-d u is compared as a float, which is cheaper."""
+    arr = np.asarray(u, dtype=float)
+    if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
+        raise DomainError(f"{name} quantile needs 0 < u <= 1")
+    return arr
+
+
 @dataclass(frozen=True)
 class TailModel:
     """A named distribution family seen through its upper tail.
 
-    quantile maps u in (0, 1] to Q(1 - u); survival, 1 - F(x), is optional
-    and needed only where r must come from quadrature. The support is
-    [lower_endpoint, +inf), and survival need only be right on it (see sf).
-
-    Every model this module builds, transformed ones included, checks that
-    its quantile's u lies in (0, 1] (see _model); a TailModel built by hand
-    gets no such check.
+    Every model, however it was built, follows the rules of its three tail
+    methods: quantile(u) = Q(1 - u) checks that u lies in (0, 1] and passes
+    it to upper_quantile as a float array; sf clamps x to the support
+    [lower_endpoint, +inf), so survival, 1 - F(x), need only be right on it;
+    aux is the auxiliary scale r, the cataloged aux_r when there is one,
+    else rho_numeric. survival is optional and needed only where r must
+    come from quadrature.
     """
 
     name: str
-    quantile: Callable[[np.ndarray | float], np.ndarray | float]
+    upper_quantile: Callable[[np.ndarray], np.ndarray | float]
     survival: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     aux_r: Callable[[float], float] | None = None
     lower_endpoint: float = -math.inf
     mean_excess_finite: bool = True
+
+    def quantile(self, u):
+        """Q(1 - u) for u in (0, 1]; raises DomainError, naming this model,
+        for any other u, NaN included."""
+        return self.upper_quantile(_quantile_arg(u, self.name))
 
     def sf(self, x):
         """Survival 1 - F(x), clamping x to [lower_endpoint, inf) first (a float
@@ -66,26 +81,11 @@ class TailModel:
             x = max(x, lo) if isinstance(x, float) else np.maximum(x, lo)
         return self.survival(x)
 
-
-def _quantile_arg(u, name: str) -> np.ndarray:
-    """u as a float array, every entry in (0, 1], where each model's quantile
-    is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
-    NaN included. A 0-d u is compared as a float, which is cheaper."""
-    arr = np.asarray(u, dtype=float)
-    if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
-        raise DomainError(f"{name} quantile needs 0 < u <= 1")
-    return arr
-
-
-def _model(name: str, quantile, **fields) -> TailModel:
-    """The TailModel that every model of this module is built as: its
-    quantile checks u by _quantile_arg first, then calls quantile on the
-    float array."""
-
-    def checked(u):
-        return quantile(_quantile_arg(u, name))
-
-    return TailModel(name=name, quantile=checked, **fields)
+    def aux(self, u: float) -> float:
+        """The auxiliary scale r(u): the cataloged aux_r, else rho_numeric."""
+        if self.aux_r is not None:
+            return self.aux_r(u)
+        return rho_numeric(self, u)
 
 
 @dataclass(frozen=True)
@@ -166,25 +166,16 @@ def mean_excess_R(model: TailModel, t: float) -> float:
     return integral / st
 
 
-def _aux(model: TailModel) -> Callable[[float], float]:
-    """The auxiliary scale r: the cataloged aux_r, else rho_numeric."""
-    if model.aux_r is not None:
-        return model.aux_r
-    return lambda u: rho_numeric(model, u)
-
-
 def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     """Norming constants for a model at (n, k); k may be real-valued.
 
-    a_n = r(k/n), with r the cataloged aux_r when present, else the numeric
-    derivative; b_n from the quantile difference; lam is the finite-n scale
-    ratio r(1/n) / r(k/n), or None when it cannot be evaluated. Raises
-    DomainError unless a_n > 0 and b_n is finite.
+    a_n = r(k/n) with r = model.aux; b_n from the quantile difference; lam
+    is the finite-n scale ratio r(1/n) / r(k/n), or None when it cannot be
+    evaluated. Raises DomainError unless a_n > 0 and b_n is finite.
     """
     _check_k(k, n)
-    r = _aux(model)
     uk = k / n
-    a_n = float(r(uk))
+    a_n = float(model.aux(uk))
     if not a_n > 0.0:
         raise DomainError(f"a_n = {a_n} must be positive")
     q_top, q_k = model.quantile(np.array([1.0 / n, uk]))
@@ -192,7 +183,7 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
     if not math.isfinite(b_n):
         raise DomainError(f"b_n = {b_n} is not finite: a quantile of {model.name!r} overflows")
     try:
-        lam = float(r(1.0 / n)) / a_n
+        lam = float(model.aux(1.0 / n)) / a_n
     except (OverflowError, ValueError):
         lam = None
     return NormingConstants(a_n=a_n, b_n=b_n, lam=lam, n=n, k=k)
@@ -202,8 +193,7 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
     """Finite-n ratio r(1/n) / r(k/n) with k from the policy; probing a grid
     of n estimates the limit lambda."""
     k = estimators.select_k(policy, n)
-    r = _aux(model)
-    return float(r(1.0 / n)) / float(r(k / n))
+    return float(model.aux(1.0 / n)) / float(model.aux(k / n))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +206,7 @@ def _transformed(model: TailModel, op: str, quantile, survival, aux,
     has one, and aux only when the base can also integrate a finite mean
     excess."""
     has_sf = model.survival is not None
-    return _model(
+    return TailModel(
         f"{op}({model.name})",
         quantile,
         survival=survival if has_sf else None,
@@ -264,9 +254,8 @@ def transform_log(model: TailModel) -> TailModel:
 
 
 def _aux_vanishes(model: TailModel) -> bool:
-    r = _aux(model)
     try:
-        vals = [float(r(u)) for u in (1e-4, 1e-6, 1e-8)]
+        vals = [float(model.aux(u)) for u in (1e-4, 1e-6, 1e-8)]
     except (OverflowError, ValueError):
         return True
     return vals[-1] < 0.9 * vals[0]
@@ -295,7 +284,13 @@ def transform_exp(model: TailModel) -> TailModel:
 
     def aux(u: float) -> float:
         q = float(model.quantile(u))
-        return math.exp(q) * mean_excess_R(model, q)
+        try:
+            scale = math.exp(q)
+        except OverflowError:
+            raise DomainError(
+                f"exp-scale aux of {model.name!r} overflows: Q(1 - {u:g}) = {q}"
+            ) from None
+        return scale * mean_excess_R(model, q)
 
     return _transformed(model, "exp", lambda u: np.exp(model.quantile(u)), survival, aux,
                         lower_endpoint=math.exp(model.lower_endpoint),
@@ -387,7 +382,7 @@ def iterated_log_model(p: int) -> TailModel:
     def aux(u: float) -> float:
         return 1.0 / _iterated_scale(2.0 * math.log(1.0 / u), p)
 
-    return _model(f"iterlog({p})", quantile, survival=survival, aux_r=aux, lower_endpoint=0.0)
+    return TailModel(f"iterlog({p})", quantile, survival=survival, aux_r=aux, lower_endpoint=0.0)
 
 
 def _exp_of_log_model() -> TailModel:
@@ -396,7 +391,7 @@ def _exp_of_log_model() -> TailModel:
         with np.errstate(divide="ignore"):  # u = 1 gives log 0 = -inf
             return np.log(np.log(1.0 / u))
 
-    return _model(
+    return TailModel(
         "exp-of-log",
         quantile,
         survival=lambda x: np.exp(-np.exp(np.asarray(x, dtype=float))),
@@ -407,7 +402,7 @@ def _exp_of_log_model() -> TailModel:
 def _normal_model() -> TailModel:
     # The cataloged aux is the asymptotic head (2 log(1/u))^{-1/2}; the exact
     # derivative u / phi(Q(1-u)) is available through rho_numeric.
-    return _model(
+    return TailModel(
         "normal",
         normal_upper_quantile,
         survival=normal_sf,
@@ -417,7 +412,7 @@ def _normal_model() -> TailModel:
 
 def _pareto_model() -> TailModel:
     # Unit Pareto, 1 - F(x) = 1/x on x >= 1; infinite mean excess.
-    return _model(
+    return TailModel(
         "pareto",
         lambda u: 1.0 / u,
         survival=lambda x: 1.0 / x,
@@ -428,7 +423,7 @@ def _pareto_model() -> TailModel:
 
 
 def _exponential_model() -> TailModel:
-    return _model(
+    return TailModel(
         "exponential",
         lambda u: -np.log(u),
         survival=lambda x: np.exp(-x),
@@ -438,7 +433,7 @@ def _exponential_model() -> TailModel:
 
 
 def _mason_model() -> TailModel:
-    return _model("mason", _mason, lower_endpoint=0.0)
+    return TailModel("mason", _mason, lower_endpoint=0.0)
 
 
 def _log_normal_model() -> TailModel:

@@ -45,7 +45,7 @@ def sqrt_2e_model() -> TailModel:
     """Sample construction x = sqrt(-2 log(1 - u)), the normal-tail surrogate."""
     return TailModel(
         name="sqrt-exponential",
-        quantile=lambda u: np.sqrt(2.0 * np.log(1.0 / np.asarray(u, dtype=float))),
+        upper_quantile=lambda u: np.sqrt(2.0 * np.log(1.0 / np.asarray(u, dtype=float))),
         lower_endpoint=0.0,
     )
 

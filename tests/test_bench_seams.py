@@ -51,6 +51,15 @@ def test_traced_seams_exist_and_are_restored():
     assert spans["engine.reproduce_table"]["calls"] == 1
     assert spans["models.norming"]["calls"] >= 1
     assert spans["models.lambda_ratio"]["calls"] == 4
+    # the model seams: a TailModel whose quantile or sf the traced subclass
+    # no longer wraps would count fewer calls here
+    assert {name: spans[name]["calls"] for name in (
+        "models.quantile", "models.sf", "normal.normal_ppf", "normal.normal_sf",
+        "models.mean_excess_R",
+    )} == {
+        "models.quantile": 12, "models.sf": 767, "normal.normal_ppf": 11,
+        "normal.normal_sf": 767, "models.mean_excess_R": 10,
+    }
 
 
 def test_tracer_counts_every_seed_and_draw():

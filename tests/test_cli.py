@@ -674,6 +674,15 @@ def test_ks_without_finite_n_lambda_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: finite-n lambda unavailable for model 'normal'\n")
 
 
+def test_memory_error_is_domain_error(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "run_replicates", out_of_memory)
+    code, out, err = run(capsys, ["simulate", "--model", "normal", "--n", "1000", "--reps", "2"])
+    assert (code, out, err) == (2, "", "error: out of memory: an allocation failed\n")
+
+
 # numpy refuses n = 1e20 before allocating anything; the table's sorted
 # sample of n = 1e15 (7 PiB), and the replicates' k+1 largest of n = 1e15
 # draws at k = 1e14 (1.6 PB with their pool), pass numpy's size check and

@@ -2,6 +2,7 @@
 norming constants, transforms and the slowly-varying-function properties."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -81,16 +82,21 @@ def _built_model(name: str):
     return get_model(name)
 
 
+# without the check, -log(u) is -0.693 at u = 2 and NaN at u = NaN
+HAND_BUILT = TailModel(name="hand-built", upper_quantile=lambda u: -np.log(u), lower_endpoint=0.0)
+
+
 @pytest.mark.parametrize(
-    "name", CATALOG + [f"log({name})" for name in CATALOG] + ["exp(exp-of-log)"]
+    "name", CATALOG + [f"log({name})" for name in CATALOG] + ["exp(exp-of-log)", "hand-built"]
 )
 def test_catalog_quantile_domain(name):
-    # every quantile the package builds, transformed ones included, rejects
-    # u outside (0, 1], NaN included, and gives its lower endpoint (-inf
-    # where the support is unbounded) at u = 1
-    model = _built_model(name)
-    for u in (math.nan, 0.0, -0.5, 1.5, [0.5, math.nan]):
-        with pytest.raises(DomainError, match=r" quantile needs 0 < u <= 1$"):
+    # every quantile, of a catalog, transformed, renamed or hand-built model,
+    # rejects u outside (0, 1], NaN included, naming the model it was called
+    # on, and gives its lower endpoint (-inf where the support is unbounded)
+    # at u = 1
+    model = HAND_BUILT if name == "hand-built" else _built_model(name)
+    for u in (math.nan, 0.0, -0.5, 1.5, 2.0, [0.5, math.nan]):
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} quantile needs 0 < u <= 1$"):
             model.quantile(u)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -162,7 +168,7 @@ def test_rho_numeric_domain():
     for u in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DomainError, match=r"u must lie strictly inside \(0, 1\)"):
             rho_numeric(model, u)
-    flat = TailModel(name="flat", quantile=np.zeros_like)
+    flat = TailModel(name="flat", upper_quantile=np.zeros_like)
     with pytest.raises(DomainError, match=r"^rho\(0\.1\) = -0\.0 is not positive for 'flat'$"):
         rho_numeric(flat, 0.1)
 
@@ -260,7 +266,7 @@ def _counting_sf(model):
         calls.append(x)
         return model.survival(x)
 
-    return TailModel(name=model.name, quantile=model.quantile, survival=survival,
+    return TailModel(name=model.name, upper_quantile=model.upper_quantile, survival=survival,
                      lower_endpoint=model.lower_endpoint), calls
 
 
@@ -304,7 +310,7 @@ def test_norming_rejects_k_one():
 
 
 def test_norming_rejects_nonpositive_a_n():
-    zero_aux = TailModel(name="zero-aux", quantile=lambda u: -np.log(u), aux_r=lambda u: 0.0)
+    zero_aux = TailModel(name="zero-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: 0.0)
     with pytest.raises(DomainError, match=r"^a_n = 0\.0 must be positive$"):
         norming(zero_aux, 1000, 31)
 
@@ -403,12 +409,12 @@ def test_transform_log_default_mass_from_cdf():
 
 def test_transform_log_rejects_nonpositive_endpoint():
     # support [-2, -1]: no mass above zero to renormalize by
-    dead = TailModel(name="negative", quantile=lambda u: -1.0 - u,
+    dead = TailModel(name="negative", upper_quantile=lambda u: -1.0 - u,
                      survival=lambda x: np.clip(-1.0 - np.asarray(x, dtype=float), 0.0, 1.0))
     with pytest.raises(DomainError, match=r"a = P\(X > 0\) must lie in \(0, 1\], got 0.0"):
         transform_log(dead)
     # without a survival the mass above zero cannot be read off
-    blind = TailModel(name="blind", quantile=lambda u: 1.0 / np.asarray(u, dtype=float))
+    blind = TailModel(name="blind", upper_quantile=lambda u: 1.0 / np.asarray(u, dtype=float))
     with pytest.raises(DomainError,
                        match=r"^P\(X > 0\) is unknown for quantile-only model 'blind'$"):
         transform_log(blind)
@@ -440,6 +446,29 @@ def test_transform_exp_of_flat_aux_has_no_finite_mean_excess():
     a_n = norming(transform_log(model), 10**4, 100).a_n
     assert a_n == norming(transform_log(get_model("pareto")), 10**4, 100).a_n
     assert a_n == pytest.approx(1.0, rel=1e-9)
+
+
+def test_exp_scale_aux_overflow_is_domain_error():
+    # Q(1 - 2e-12) of log-normal is 1029.9, past the largest argument of exp
+    with pytest.warns(AuxNotVanishing):
+        model = transform_exp(get_model("log-normal"))
+    with pytest.raises(DomainError, match=r"^exp-scale aux of 'log-normal' overflows: "
+                                          r"Q\(1 - 2e-12\) = 1029\.86"):
+        norming(model, 10**12, 2)
+    with pytest.raises(DomainError, match=r"^exp-scale aux of 'log-normal' overflows: "
+                                          r"Q\(1 - 1e-12\) = 1135\.10"):
+        lambda_ratio(model, KPolicy.sqrt(), 10**12)
+
+
+def test_transform_exp_takes_an_overflowing_aux_as_vanishing():
+    def overflowing(u):
+        raise OverflowError("math range error")
+
+    steep = TailModel(name="steep", upper_quantile=lambda u: -np.log(u), aux_r=overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = transform_exp(steep)
+    assert model.mean_excess_finite
 
 
 def test_transform_exp_normal_is_log_normal():
@@ -597,6 +626,9 @@ def test_iterlog_aux_names_the_non_positive_factor():
     # 2 log(1/u) < e^2 makes log_2 of the root negative for p = 3
     with pytest.raises(DomainError, match="factor"):
         get_model("iterlog(3)").aux_r(0.1)
+    # at u = 1 the root of 2 log(1/u) is 0, which has no log
+    with pytest.raises(DomainError, match=r"^iterated log hit a non-positive value: 0\.0$"):
+        iterated_log_model(2).aux(1.0)
 
 
 def test_get_model_unknown_name():
