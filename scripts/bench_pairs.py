@@ -15,9 +15,11 @@ and scipy that the run measured.
 The summary gives, per workload and end-to-end metric, each side's median
 and quartiles over its runs, and how many pairs the change won: a pair is
 won when the change's value is better than the base's at the same seed, in
-the direction that BENCHMARK.json gives for the metric. It also flags a
-metric whose median got worse than the base's by more than the metric's
-bound in BENCHMARK.json, a relative change. Everything is written to
+the direction that BENCHMARK.json gives for the metric. It flags, as
+``GAIN > BASE IQR``, a metric whose median moved the better way by more
+than the base's interquartile range, and, as ``WORSE THAN BOUND``, one
+whose median got worse than the base's by more than the metric's bound in
+BENCHMARK.json, a relative change. Everything is written to
 BENCH_<label>.json in the current directory.
 
 Usage:
@@ -174,6 +176,7 @@ def main() -> None:
                   f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}]  change "
                   f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]"
                   f"  won {m['change_won']}/{m['of_pairs']}"
+                  + ("  GAIN > BASE IQR" if m["gain_exceeds_base_iqr"] else "")
                   + ("  WORSE THAN BOUND" if m["worse_than_bound"] else ""))
     doc = {
         "label": args.label,

@@ -50,12 +50,13 @@ class TailModel:
     """A named distribution family seen through its upper tail.
 
     Every model, however it was built, follows the rules of its three tail
-    methods: quantile(u) = Q(1 - u) checks that u lies in (0, 1] and passes
-    it to upper_quantile as a float array; sf clamps x to the support
+    methods, and raises DomainError naming itself where an input breaks one:
+    quantile(u) = Q(1 - u) checks that u lies in (0, 1] and passes it to
+    upper_quantile as a float array; sf clamps x to the support
     [lower_endpoint, +inf), so survival, 1 - F(x), need only be right on it;
-    aux is the auxiliary scale r, the cataloged aux_r when there is one,
-    else rho_numeric. survival is optional and needed only where r must
-    come from quadrature.
+    aux(u), the auxiliary scale r (aux_r when cataloged, else rho_numeric),
+    takes u strictly inside (0, 1) and returns only a positive finite r.
+    survival is optional and needed only where r must come from quadrature.
     """
 
     name: str
@@ -82,10 +83,13 @@ class TailModel:
         return self.survival(x)
 
     def aux(self, u: float) -> float:
-        """The auxiliary scale r(u): the cataloged aux_r, else rho_numeric."""
-        if self.aux_r is not None:
-            return self.aux_r(u)
-        return rho_numeric(self, u)
+        """r(u) as a float, for 0 < u < 1 (NaN fails) and 0 < r < inf only."""
+        if not 0.0 < u < 1.0:
+            raise DomainError(f"{self.name} aux needs 0 < u < 1, got u = {u}")
+        r = rho_numeric(self, u) if self.aux_r is None else self.aux_r(u)
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"{self.name} aux r({u:g}) = {r} is not positive and finite")
+        return float(r)
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,14 @@ class NormingConstants:
     k: float
 
 
-def _check_u(u: float) -> None:
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
-
-
 def rho_numeric(model: TailModel, u: float) -> float:
     """u Q'(1 - u) by central finite difference with relative step 1e-5.
 
     Agrees with the cataloged aux_r to 1e-4 relative wherever that form is
     exact; against asymptotic-only forms the agreement holds in the limit.
     """
-    _check_u(u)
+    if not 0.0 < u < 1.0:
+        raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
     if u < 1e-11:
         raise DomainError(f"u={u} too small for a stable difference step")
     h = max(u * 1e-5, 1e-12)
@@ -133,7 +133,7 @@ def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
         step *= 2.0
         hi = t + step
         if step > 1e300:
-            return hi
+            raise DomainError(f"survival of {model.name!r} never falls below {floor:g} above t={t}")
     lo = t
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -149,7 +149,7 @@ def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
 def mean_excess_R(model: TailModel, t: float) -> float:
     """Mean excess R(t) = E[X - t | X > t] by adaptive quadrature of the
     survival function on (t, inf), truncated where the survival falls below
-    1e-18 of its value at t."""
+    1e-18 of its value at t; DomainError if it never does."""
     st = float(model.sf(t))
     if not model.mean_excess_finite:
         raise DomainError(f"mean excess diverges for model {model.name!r}")
@@ -171,19 +171,17 @@ def norming(model: TailModel, n: int, k: float) -> NormingConstants:
 
     a_n = r(k/n) with r = model.aux; b_n from the quantile difference; lam
     is the finite-n scale ratio r(1/n) / r(k/n), or None when it cannot be
-    evaluated. Raises DomainError unless a_n > 0 and b_n is finite.
+    evaluated. Raises DomainError unless 0 < a_n < inf and b_n is finite.
     """
     _check_k(k, n)
     uk = k / n
-    a_n = float(model.aux(uk))
-    if not a_n > 0.0:
-        raise DomainError(f"a_n = {a_n} must be positive")
+    a_n = model.aux(uk)
     q_top, q_k = model.quantile(np.array([1.0 / n, uk]))
     b_n = (float(q_top) - float(q_k)) / a_n
     if not math.isfinite(b_n):
         raise DomainError(f"b_n = {b_n} is not finite: a quantile of {model.name!r} overflows")
     try:
-        lam = float(model.aux(1.0 / n)) / a_n
+        lam = model.aux(1.0 / n) / a_n
     except (OverflowError, ValueError):
         lam = None
     return NormingConstants(a_n=a_n, b_n=b_n, lam=lam, n=n, k=k)
@@ -193,7 +191,7 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
     """Finite-n ratio r(1/n) / r(k/n) with k from the policy; probing a grid
     of n estimates the limit lambda."""
     k = estimators.select_k(policy, n)
-    return float(model.aux(1.0 / n)) / float(model.aux(k / n))
+    return model.aux(1.0 / n) / model.aux(k / n)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +253,9 @@ def transform_log(model: TailModel) -> TailModel:
 
 def _aux_vanishes(model: TailModel) -> bool:
     try:
-        vals = [float(model.aux(u)) for u in (1e-4, 1e-6, 1e-8)]
+        vals = [model.aux(u) for u in (1e-4, 1e-6, 1e-8)]
     except (OverflowError, ValueError):
-        return True
+        return False  # an r that overflows or breaks the aux rule does not vanish
     return vals[-1] < 0.9 * vals[0]
 
 
@@ -311,9 +309,8 @@ def _mason(u: np.ndarray) -> float | np.ndarray:
 
 
 def _iterated_log(x: float, p: int) -> float:
+    """log applied p times; every caller keeps each argument positive."""
     for _ in range(p):
-        if x <= 0.0:
-            raise DomainError(f"iterated log hit a non-positive value: {x}")
         x = math.log(x)
     return x
 

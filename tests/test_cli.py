@@ -73,6 +73,35 @@ def test_table_columns_identical(capsys):
         assert row[1] == row[2]
 
 
+def test_table_column_drift_is_domain_error(capsys, monkeypatch):
+    # x = sqrt(2y) makes columns two and three agree; a sqrt that drifts
+    # (here by a power 1.001) breaks the identity the table checks per row
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda a: sqrt(a) ** 1.001)
+    with pytest.raises(GumbelTailError, match=r"^column identity violated at n=3991: "):
+        engine.reproduce_table(engine.RngSpec(seed=42))
+    code, out, err = run(capsys, ["table", "--seed", "42"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: column identity violated at n=3991: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["table", "--n-total", "100"], 0),
+    (["table", "--n-total", "many"], 1),
+])
+def test_main_exits_with_the_dispatch_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["gumbeltail", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (len(out.splitlines()), err) == (12, "")  # config, header and ten rows
+    else:
+        assert out == "" and "invalid int value: 'many'" in err
+
+
 def test_table_json_rows(capsys):
     code, out, _ = run(capsys, ["table", "--seed", "42", "--format", "json"])
     doc = json.loads(out)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gumbeltail import models
 from gumbeltail.errors import AuxNotVanishing, DomainError
 from gumbeltail.estimators import KPolicy
 from gumbeltail.models import (
@@ -101,6 +102,38 @@ def test_catalog_quantile_domain(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert float(model.quantile(1.0)) == model.lower_endpoint
+
+
+# without the rule, r = 1 / u is -2.0 at u = -0.5 and inf at u = 0
+HAND_BUILT_AUX = TailModel(name="hand-built", upper_quantile=lambda u: 1.0 / u,
+                           aux_r=lambda u: 1.0 / u, lower_endpoint=1.0)
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + [f"log({name})" for name in CATALOG] + ["exp(exp-of-log)", "hand-built"]
+)
+def test_aux_needs_u_strictly_inside_the_unit_interval(name):
+    # every aux, cataloged or numeric, of a catalog, transformed, renamed or
+    # hand-built model, rejects u outside (0, 1), NaN included, naming the
+    # model it was called on; before the rule normal gave a complex number
+    # at u = 2, exponential 1.0 at NaN, others ZeroDivisionError
+    model = HAND_BUILT_AUX if name == "hand-built" else _built_model(name)
+    for u in (0.0, 1.0, 2.0, -0.5, math.nan):
+        with pytest.raises(DomainError,
+                           match=rf"^{re.escape(name)} aux needs 0 < u < 1, got u = {u}$"):
+            model.aux(u)
+
+
+@pytest.mark.parametrize("r,text", [(0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"),
+                                    (math.nan, "nan"), (np.float64(-2.0), "-2.0")])
+def test_aux_returns_only_a_positive_finite_scale(r, text):
+    model = TailModel(name="bad-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: r)
+    with pytest.raises(DomainError,
+                       match=rf"^bad-aux aux r\(0\.25\) = {text} is not positive and finite$"):
+        model.aux(0.25)
+    good = TailModel(name="good-aux", upper_quantile=lambda u: -np.log(u),
+                     aux_r=lambda u: np.float64(0.5))
+    assert type(good.aux(0.25)) is float and good.aux(0.25) == 0.5
 
 
 WITH_SURVIVAL = [name for name in CATALOG if name != "mason"]
@@ -239,6 +272,16 @@ def test_mean_excess_refusals(name, t, message):
     assert str(info.value) == message
 
 
+def test_mean_excess_of_a_survival_that_never_falls():
+    # the doubling search for the cut-off gave up past 1e300 and integrated
+    # up to there, returning R = 1.34e300
+    flat = TailModel(name="flat-tail", upper_quantile=lambda u: -np.log(u),
+                     survival=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
+    with pytest.raises(DomainError) as info:
+        mean_excess_R(flat, 0.0)
+    assert str(info.value) == "survival of 'flat-tail' never falls below 5e-19 above t=0.0"
+
+
 def _tail_cutoff_80_steps(model, t, floor):
     """_tail_cutoff as it was before its bisection stopped early: always 80
     steps, the last ~25 of them on a bracket that no longer shrinks."""
@@ -310,9 +353,24 @@ def test_norming_rejects_k_one():
 
 
 def test_norming_rejects_nonpositive_a_n():
+    # a_n = r(k/n), and aux refuses an r that is not positive
     zero_aux = TailModel(name="zero-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: 0.0)
-    with pytest.raises(DomainError, match=r"^a_n = 0\.0 must be positive$"):
+    with pytest.raises(DomainError,
+                       match=r"^zero-aux aux r\(0\.031\) = 0\.0 is not positive and finite$"):
         norming(zero_aux, 1000, 31)
+
+
+def test_an_infinite_aux_leaves_lambda_unknown():
+    # r(1/n) of exp(log-normal) overflows to inf at this n (the exp scale is
+    # finite, its product with R is not); both returned lambda = inf before
+    n = 37671299032
+    with pytest.warns(AuxNotVanishing):
+        model = transform_exp(get_model("log-normal"))
+    nc = norming(model, n, 1000)
+    assert nc.lam is None and math.isfinite(nc.a_n) and math.isfinite(nc.b_n)
+    with pytest.raises(DomainError, match=r"^exp\(log-normal\) aux r\(2\.65454e-11\) = inf "
+                                          r"is not positive and finite$"):
+        lambda_ratio(model, KPolicy.sqrt(), n)
 
 
 def test_norming_normal_asymptotic_scale():
@@ -460,15 +518,21 @@ def test_exp_scale_aux_overflow_is_domain_error():
         lambda_ratio(model, KPolicy.sqrt(), 10**12)
 
 
-def test_transform_exp_takes_an_overflowing_aux_as_vanishing():
-    def overflowing(u):
+@pytest.mark.parametrize("name", ["overflows", "reaches-inf"])
+def test_transform_exp_takes_a_raising_aux_as_not_vanishing(name):
+    # an r that overflows, or that aux refuses at a probe point, is no
+    # evidence that r vanishes: exp warns and marks the mean excess divergent
+    def overflows(u):
         raise OverflowError("math range error")
 
-    steep = TailModel(name="steep", upper_quantile=lambda u: -np.log(u), aux_r=overflowing)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    def reaches_inf(u):
+        return 1.0 if u > 1e-7 else math.inf
+
+    aux = overflows if name == "overflows" else reaches_inf
+    steep = TailModel(name=name, upper_quantile=lambda u: -np.log(u), aux_r=aux)
+    with pytest.warns(AuxNotVanishing, match=f"auxiliary scale of '{name}' does not vanish"):
         model = transform_exp(steep)
-    assert model.mean_excess_finite
+    assert not model.mean_excess_finite
 
 
 def test_transform_exp_normal_is_log_normal():
@@ -626,9 +690,41 @@ def test_iterlog_aux_names_the_non_positive_factor():
     # 2 log(1/u) < e^2 makes log_2 of the root negative for p = 3
     with pytest.raises(DomainError, match="factor"):
         get_model("iterlog(3)").aux_r(0.1)
-    # at u = 1 the root of 2 log(1/u) is 0, which has no log
-    with pytest.raises(DomainError, match=r"^iterated log hit a non-positive value: 0\.0$"):
+    # u = 1, where the root of 2 log(1/u) is 0, is refused by the aux rule;
+    # just below it the root is positive and its log the first factor
+    with pytest.raises(DomainError, match=r"^iterlog\(2\) aux needs 0 < u < 1, got u = 1\.0$"):
         iterated_log_model(2).aux(1.0)
+    with pytest.raises(DomainError, match=r"^iterated-log factor log_1\("):
+        iterated_log_model(2).aux(1.0 - 2.0**-53)
+
+
+def test_iterated_log_is_only_given_positive_arguments(monkeypatch):
+    # _iterated_log has no guard of its own. aux passes the root of
+    # 2 log(1/u) > 0 (1/u > 1 for every double u < 1), and each log_h is a
+    # factor checked positive before log_{h+1} is taken; the quantile's log
+    # chain starts at Q_Z(1 - m u) >= e_{p-1}(1); iterated_c_n at 2 log n
+    # with n >= 16; the survival cut-off at 40
+    seen = []
+
+    def logging_iterated_log(x, p):
+        for _ in range(p):
+            seen.append(x)
+            x = math.log(x)
+        return x
+
+    monkeypatch.setattr(models, "_iterated_log", logging_iterated_log)
+    for p in (1, 2, 3):
+        model = iterated_log_model(p)
+        model.quantile(np.array([5e-324, 1e-300, 1e-12, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]))
+        calls = [lambda u=u: model.aux(u)
+                 for u in (5e-324, 1e-300, 1e-12, 1e-4, 0.1, 0.5, 0.9, 1.0 - 2.0**-53)]
+        calls += [lambda n=n: iterated_c_n(p, n) for n in (16, 10**6, 10**300)]
+        for call in calls:
+            try:
+                call()
+            except DomainError:  # a factor <= 0, caught before its log is taken
+                pass
+    assert len(seen) > 50 and min(seen) > 0.0
 
 
 def test_get_model_unknown_name():

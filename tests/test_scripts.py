@@ -135,9 +135,10 @@ def test_bench_pairs_flags_a_median_worse_than_its_bound():
     assert {m["worse_than_bound"] for m in unbounded["w"]["metrics"].values()} == {None}
 
 
-def test_bench_pairs_keeps_each_runs_env_line(monkeypatch, tmp_path):
+def test_bench_pairs_keeps_each_runs_env_line(capsys, monkeypatch, tmp_path):
     # a stubbed subprocess.run prints what bench/run.py prints: a comment,
-    # the env line naming the tree it ran in, and the result line last
+    # the env line naming the tree it ran in, and the result line last; the
+    # change doubles ops_per_s and leaves setup_s as it was
     bench_pairs = _load("bench_pairs")
     trees = {}
     for side in ("base", "change"):
@@ -145,12 +146,14 @@ def test_bench_pairs_keeps_each_runs_env_line(monkeypatch, tmp_path):
         (tmp_path / side / "bench" / "run.py").touch()
         trees[side] = {"src_sha256_16": f"{side}-digest", "git_commit": f"{side}-commit",
                        "numpy": "2.4.6", "scipy": "1.17.1"}
+    lines = {"base": _line(ops_per_s=1.0, setup_s=0.2), "change": _line(ops_per_s=2.0, setup_s=0.2)}
     seen = []
 
     def fake_run(argv, cwd, capture_output, text):
         seen.append(argv)
-        stdout = (f"# gumbeltail benchmark\nenv {json.dumps(trees[Path(cwd).name])}\n"
-                  f"{json.dumps(_line(ops_per_s=1.0))}\n")
+        side = Path(cwd).name
+        stdout = (f"# gumbeltail benchmark\nenv {json.dumps(trees[side])}\n"
+                  f"{json.dumps(lines[side])}\n")
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -165,4 +168,9 @@ def test_bench_pairs_keeps_each_runs_env_line(monkeypatch, tmp_path):
     assert len(seen) == len(doc["runs"]) == 2 * len(workloads)
     for run in doc["runs"]:
         assert run["env"] == trees[run["side"]]
-        assert run["line"] == _line(ops_per_s=1.0)
+        assert run["line"] == lines[run["side"]]
+    # the summary line flags a median gain larger than the base's quartile spread
+    summary = [line for line in capsys.readouterr().out.splitlines() if " won " in line]
+    assert len(summary) == 2 * len(workloads)
+    for line in summary:
+        assert line.endswith("won 1/1  GAIN > BASE IQR" if "ops_per_s" in line else "won 0/1")
