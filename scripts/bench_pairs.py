@@ -20,7 +20,10 @@ the direction that BENCHMARK.json gives for the metric. It flags, as
 than the base's interquartile range, and, as ``WORSE THAN BOUND``, one
 whose median got worse than the base's by more than the metric's bound in
 BENCHMARK.json, a relative change. Everything is written to
-BENCH_<label>.json in the current directory.
+BENCH_<label>.json in the current directory. If a run exits non-zero, no
+further run starts: the runs finished before it are summarized and written,
+with the failed run's workload, pair, seed, side, exit code and stderr tail
+under ``failed_run``, and the script exits non-zero.
 
 Usage:
     python scripts/bench_pairs.py --label cmp --base ../parent --pairs 10 \\
@@ -121,16 +124,40 @@ def summarize(runs: list, better: dict, bound: dict) -> dict:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One benchmark run in a fresh process in tree: its parsed result line
-    and its parsed env line (None if it printed none)."""
+    and its parsed env line (None if it printed none). Raises
+    CalledProcessError, carrying the run's stderr, if it exits non-zero."""
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"bench_pairs: {' '.join(argv)} in {tree} exited {done.returncode}: "
-                 f"{done.stderr.strip()}")
+        raise subprocess.CalledProcessError(done.returncode, argv, done.stdout, done.stderr)
     lines = done.stdout.strip().splitlines()
     env = next((json.loads(text[len("env "):]) for text in lines if text.startswith("env ")), None)
     return json.loads(lines[-1]), env
+
+
+def _run_pairs(benchmark: dict, trees: dict, pairs: int, first_seed: int) -> tuple:
+    """Every run's record, in the alternating order, and the run that failed
+    (None if none did), with the last 20 lines of its stderr: the first run
+    that exits non-zero ends the loop."""
+    runs = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for pair in range(pairs):
+            seed = first_seed + pair
+            for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+                try:
+                    line, env = run_bench(trees[side], workload, seed, benchmark["run_seconds"])
+                except subprocess.CalledProcessError as exc:
+                    return runs, {"workload": workload, "pair": pair, "seed": seed, "side": side,
+                                  "exit_code": exc.returncode,
+                                  "stderr_tail": "\n".join(exc.stderr.strip().splitlines()[-20:])}
+                runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
+                             "line": line, "env": env})
+                print(f"{workload} pair {pair} seed {seed} {side:>6}: correct {line['correct']} "
+                      f"failed {line['failed']} " + " ".join(
+                          f"{name} {m['value']:.4g}" for name, m in line["metrics"].items()),
+                      flush=True)
+    return runs, None
 
 
 def _checkout(path: str) -> Path:
@@ -156,19 +183,7 @@ def main() -> None:
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     seconds = benchmark["run_seconds"]
-    runs = []
-    for workload in (w["name"] for w in benchmark["workloads"]):
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                line, env = run_bench(trees[side], workload, seed, seconds)
-                runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
-                             "line": line, "env": env})
-                print(f"{workload} pair {pair} seed {seed} {side:>6}: correct {line['correct']} "
-                      f"failed {line['failed']} " + " ".join(
-                          f"{name} {m['value']:.4g}" for name, m in line["metrics"].items()),
-                      flush=True)
-
+    runs, failed_run = _run_pairs(benchmark, trees, args.pairs, args.first_seed)
     summary = summarize(runs, directions(benchmark), bounds(benchmark))
     for workload, doc in summary.items():
         for name, m in doc["metrics"].items():
@@ -188,10 +203,15 @@ def main() -> None:
         "seconds": seconds,
         "summary": summary,
         "runs": runs,
+        "failed_run": failed_run,
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    if failed_run is not None:
+        sys.exit(f"bench_pairs: the {failed_run['side']} run of {failed_run['workload']} pair "
+                 f"{failed_run['pair']} exited {failed_run['exit_code']}:\n"
+                 f"{failed_run['stderr_tail']}")
 
 
 if __name__ == "__main__":

@@ -63,9 +63,14 @@ class KPolicy:
     def __post_init__(self):
         if self.kind not in ("sqrt", "logpow", "fixed"):
             raise DomainError(f"unknown k-policy kind: {self.kind!r}")
+        if ((self.ell is not None and self.kind != "logpow")
+                or (self.k is not None and self.kind != "fixed")):
+            raise DomainError(f"{self.kind} policy given a parameter it does not take: {self!r}")
         if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
             raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
-        if self.kind == "fixed" and (self.k is None or self.k < 1):
+        if self.kind == "fixed" and not isinstance(self.k, (int, np.integer)):
+            raise DomainError(f"fixed policy requires an integer k, got {self.k!r}")
+        if self.kind == "fixed" and self.k < 1:
             raise DomainError("fixed policy requires a positive k")
 
     @classmethod
@@ -78,7 +83,7 @@ class KPolicy:
 
     @classmethod
     def fixed(cls, k: int) -> "KPolicy":
-        return cls("fixed", k=int(k))
+        return cls("fixed", k=k)
 
     @classmethod
     def parse(cls, spec: str) -> "KPolicy":
@@ -87,15 +92,11 @@ class KPolicy:
         if head == "sqrt" and not tail:
             return cls.sqrt()
         try:
-            if head == "logpow" and tail:
-                return cls.log_power(float(tail))
-            if head == "fixed" and tail:
-                return cls.fixed(int(tail))
-        except DomainError:
-            raise
-        except ValueError:  # a non-numeric ell or k
-            pass
-        raise DomainError(f"cannot parse k-policy spec: {spec!r}")
+            name, number = {"logpow": ("ell", float), "fixed": ("k", int)}[head]
+            value = number(tail)
+        except (KeyError, ValueError):  # an unknown kind, or a missing or non-numeric ell or k
+            raise DomainError(f"cannot parse k-policy spec: {spec!r}") from None
+        return cls(head, **{name: value})
 
     def spec(self) -> str:
         if self.kind == "sqrt":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,8 +64,13 @@ class TailModel:
     upper_quantile: Callable[[np.ndarray], np.ndarray | float]
     survival: Callable[[np.ndarray | float], np.ndarray | float] | None = None
     aux_r: Callable[[float], float] | None = None
-    lower_endpoint: float = -math.inf
     mean_excess_finite: bool = True
+
+    @cached_property
+    def lower_endpoint(self) -> float:
+        """Q(0), where the support starts: upper_quantile at u = 1 as a float,
+        -inf when unbounded (+ 0.0 turns -0.0 into 0.0)."""
+        return float(self.upper_quantile(np.asarray(1.0))) + 0.0
 
     def quantile(self, u):
         """Q(1 - u) for u in (0, 1]; raises DomainError, naming this model,
@@ -199,7 +205,7 @@ def lambda_ratio(model: TailModel, policy, n: int) -> float:
 
 
 def _transformed(model: TailModel, op: str, quantile, survival, aux,
-                 lower_endpoint: float, mean_excess_finite: bool = True) -> TailModel:
+                 mean_excess_finite: bool = True) -> TailModel:
     """The model op(X) of X ~ model. It keeps survival only when the base
     has one, and aux only when the base can also integrate a finite mean
     excess."""
@@ -209,7 +215,6 @@ def _transformed(model: TailModel, op: str, quantile, survival, aux,
         quantile,
         survival=survival if has_sf else None,
         aux_r=aux if has_sf and model.mean_excess_finite else None,
-        lower_endpoint=lower_endpoint,
         mean_excess_finite=mean_excess_finite,
     )
 
@@ -246,9 +251,7 @@ def transform_log(model: TailModel) -> TailModel:
             )
         return mean_excess_R(model, q) / q
 
-    b = model.lower_endpoint
-    return _transformed(model, "log", quantile, survival, aux,
-                        lower_endpoint=math.log(b) if b > 0.0 else -math.inf)
+    return _transformed(model, "log", quantile, survival, aux)
 
 
 def _aux_vanishes(model: TailModel) -> bool:
@@ -291,7 +294,6 @@ def transform_exp(model: TailModel) -> TailModel:
         return scale * mean_excess_R(model, q)
 
     return _transformed(model, "exp", lambda u: np.exp(model.quantile(u)), survival, aux,
-                        lower_endpoint=math.exp(model.lower_endpoint),
                         mean_excess_finite=vanishes)
 
 
@@ -379,7 +381,7 @@ def iterated_log_model(p: int) -> TailModel:
     def aux(u: float) -> float:
         return 1.0 / _iterated_scale(2.0 * math.log(1.0 / u), p)
 
-    return TailModel(f"iterlog({p})", quantile, survival=survival, aux_r=aux, lower_endpoint=0.0)
+    return TailModel(f"iterlog({p})", quantile, survival=survival, aux_r=aux)
 
 
 def _exp_of_log_model() -> TailModel:
@@ -414,7 +416,6 @@ def _pareto_model() -> TailModel:
         lambda u: 1.0 / u,
         survival=lambda x: 1.0 / x,
         aux_r=lambda u: 1.0 / u,
-        lower_endpoint=1.0,
         mean_excess_finite=False,
     )
 
@@ -425,17 +426,15 @@ def _exponential_model() -> TailModel:
         lambda u: -np.log(u),
         survival=lambda x: np.exp(-x),
         aux_r=lambda u: 1.0,
-        lower_endpoint=0.0,
     )
 
 
 def _mason_model() -> TailModel:
-    return TailModel("mason", _mason, lower_endpoint=0.0)
+    return TailModel("mason", _mason)
 
 
 def _log_normal_model() -> TailModel:
-    model = transform_exp(_normal_model())
-    return replace(model, name="log-normal")
+    return replace(transform_exp(_normal_model()), name="log-normal")
 
 
 _FACTORIES: dict[str, Callable[[], TailModel]] = {

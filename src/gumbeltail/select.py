@@ -65,12 +65,12 @@ def classify(sample: SortedSample, policy: KPolicy) -> ModelVerdict:
 
 
 def verdict(t: float, n: int, k: int) -> ModelVerdict:
-    """The model test on a finite log-scale estimate t = T_n at (n, k), with
+    """The model test on a finite log-scale estimate t = T_n >= 0 at (n, k), with
     n >= 100 and 2 <= k < n."""
     _check_n(n)
     _check_k(k, n)
-    if not math.isfinite(t):
-        raise DomainError(f"T_n must be finite, got {t}")
+    if not 0.0 <= t < math.inf:  # a spacing over log k is never negative
+        raise DomainError(f"T_n must be finite and >= 0, got {t}")
     log_n = math.log(n)
     log_nk = math.log(n / k)
     lam = log_nk / log_n

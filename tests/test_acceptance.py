@@ -46,7 +46,6 @@ def sqrt_2e_model() -> TailModel:
     return TailModel(
         name="sqrt-exponential",
         upper_quantile=lambda u: np.sqrt(2.0 * np.log(1.0 / np.asarray(u, dtype=float))),
-        lower_endpoint=0.0,
     )
 
 

@@ -115,6 +115,41 @@ def test_k_policy_parse_round_trip():
         KPolicy("bogus")
 
 
+@pytest.mark.parametrize("policy", [KPolicy.sqrt()]
+                         + [KPolicy.log_power(ell) for ell in (0.5, 1.5, 2, 2.25, 3.0)]
+                         + [KPolicy.fixed(k) for k in (1, 2, 31, 1000, np.int64(7))])
+def test_k_policy_spec_parses_back_to_itself(policy):
+    assert KPolicy.parse(policy.spec()) == policy
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: KPolicy("sqrt", ell=2.0),
+     "sqrt policy given a parameter it does not take: "
+     "KPolicy(kind='sqrt', ell=2.0, k=None)"),
+    (lambda: KPolicy("sqrt", k=5),
+     "sqrt policy given a parameter it does not take: "
+     "KPolicy(kind='sqrt', ell=None, k=5)"),
+    (lambda: KPolicy("fixed", k=5, ell=3.0),
+     "fixed policy given a parameter it does not take: "
+     "KPolicy(kind='fixed', ell=3.0, k=5)"),
+    (lambda: KPolicy("logpow", ell=2.0, k=5),
+     "logpow policy given a parameter it does not take: "
+     "KPolicy(kind='logpow', ell=2.0, k=5)"),
+    (lambda: KPolicy("fixed", k=2.5), "fixed policy requires an integer k, got 2.5"),
+    (lambda: KPolicy("fixed", k=5.0), "fixed policy requires an integer k, got 5.0"),
+    (lambda: KPolicy("fixed"), "fixed policy requires an integer k, got None"),
+    (lambda: KPolicy.fixed(2.9), "fixed policy requires an integer k, got 2.9"),
+], ids=["sqrt-ell", "sqrt-k", "fixed-ell", "logpow-k", "fixed-2.5", "fixed-5.0", "fixed-none",
+        "fixed-2.9"])
+def test_k_policy_refuses_parameters_its_kind_does_not_take(make, message):
+    # each was accepted: sqrt with ell printed "sqrt" but was not KPolicy.sqrt(),
+    # fixed k = 2.5 printed "fixed:2.5", which parse refuses, and
+    # KPolicy.fixed(2.9) was k = 2
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # de_haan_resnick
 

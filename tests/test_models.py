@@ -1,6 +1,7 @@
 """Model catalog oracles: quantiles, auxiliary scales, mean excess,
 norming constants, transforms and the slowly-varying-function properties."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -84,7 +85,15 @@ def _built_model(name: str):
 
 
 # without the check, -log(u) is -0.693 at u = 2 and NaN at u = NaN
-HAND_BUILT = TailModel(name="hand-built", upper_quantile=lambda u: -np.log(u), lower_endpoint=0.0)
+HAND_BUILT = TailModel(name="hand-built", upper_quantile=lambda u: -np.log(u))
+
+# the lower endpoint is Q(0), the quantile at u = 1, for every model: -inf
+# where the support is unbounded below, +0.0 (never -0.0) where it starts at 0
+ENDPOINT_AT = {-math.inf: ["exp-of-log", "normal"]
+               + [f"log({name})" for name in CATALOG if name != "pareto"],
+               0.0: ["log-normal", "exponential", "gamma-tail", "mason", "iterlog(1)",
+                     "iterlog(2)", "iterlog(3)", "log(pareto)", "exp(exp-of-log)", "hand-built"],
+               1.0: ["pareto"]}
 
 
 @pytest.mark.parametrize(
@@ -93,20 +102,31 @@ HAND_BUILT = TailModel(name="hand-built", upper_quantile=lambda u: -np.log(u), l
 def test_catalog_quantile_domain(name):
     # every quantile, of a catalog, transformed, renamed or hand-built model,
     # rejects u outside (0, 1], NaN included, naming the model it was called
-    # on, and gives its lower endpoint (-inf where the support is unbounded)
-    # at u = 1
+    # on; the lower endpoint derived from it is pinned, sign of zero included
     model = HAND_BUILT if name == "hand-built" else _built_model(name)
     for u in (math.nan, 0.0, -0.5, 1.5, 2.0, [0.5, math.nan]):
         with pytest.raises(DomainError, match=rf"^{re.escape(name)} quantile needs 0 < u <= 1$"):
             model.quantile(u)
+    (expected,) = [lo for lo, names in ENDPOINT_AT.items() if name in names]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert float(model.quantile(1.0)) == model.lower_endpoint
+        lo = model.lower_endpoint
+    assert type(lo) is float and lo == expected
+    assert math.copysign(1.0, lo) == math.copysign(1.0, expected)
+
+
+def test_lower_endpoint_is_derived_not_a_field():
+    assert [field.name for field in dataclasses.fields(TailModel)] == [
+        "name", "upper_quantile", "survival", "aux_r", "mean_excess_finite"]
+    with pytest.raises(TypeError):
+        TailModel(name="h", upper_quantile=lambda u: -np.log(u), lower_endpoint=0.0)
+    # a renamed model derives its endpoint again, from the same quantile
+    assert dataclasses.replace(get_model("pareto"), name="renamed").lower_endpoint == 1.0
 
 
 # without the rule, r = 1 / u is -2.0 at u = -0.5 and inf at u = 0
 HAND_BUILT_AUX = TailModel(name="hand-built", upper_quantile=lambda u: 1.0 / u,
-                           aux_r=lambda u: 1.0 / u, lower_endpoint=1.0)
+                           aux_r=lambda u: 1.0 / u)
 
 
 @pytest.mark.parametrize(
@@ -138,9 +158,13 @@ def test_aux_returns_only_a_positive_finite_scale(r, text):
 
 WITH_SURVIVAL = [name for name in CATALOG if name != "mason"]
 
+# a hand-built model that states no support: before the endpoint was derived
+# from the quantile, sf(-1.0) was e and mean_excess_R(h, -1.0) was 1.0
+HAND_BUILT_SF = TailModel("h", lambda u: -np.log(u), survival=lambda x: np.exp(-x))
+
 
 @pytest.mark.parametrize("name", WITH_SURVIVAL + [f"log({name})" for name in WITH_SURVIVAL] + [
-    "exp(exp-of-log)", "exp(normal)", "exp(exponential)", "exp(pareto)",
+    "exp(exp-of-log)", "exp(normal)", "exp(exponential)", "exp(pareto)", "h",
 ])
 def test_survival_is_one_at_and_below_the_support(name):
     # sf clamps x to [lower_endpoint, inf), so no survival has to know its
@@ -149,7 +173,7 @@ def test_survival_is_one_at_and_below_the_support(name):
         with pytest.warns(AuxNotVanishing):
             model = _built_model(name)
     else:
-        model = _built_model(name)
+        model = HAND_BUILT_SF if name == "h" else _built_model(name)
     lo = model.lower_endpoint
     start = lo if math.isfinite(lo) else -5.0
     with warnings.catch_warnings():
@@ -265,10 +289,11 @@ def test_mean_excess_diverges_for_pareto():
     ("pareto", 2.0, "mean excess diverges for model 'pareto'"),
     ("exponential", -1.0, "t=-1.0 outside the support of 'exponential'"),
     ("normal", 40.0, "survival underflows at t=40.0 for 'normal'"),
-], ids=["no-survival", "diverges", "outside-support", "underflow"])
+    ("h", -1.0, "t=-1.0 outside the support of 'h'"),
+], ids=["no-survival", "diverges", "outside-support", "underflow", "derived-support"])
 def test_mean_excess_refusals(name, t, message):
     with pytest.raises(DomainError) as info:
-        mean_excess_R(get_model(name), t)
+        mean_excess_R(HAND_BUILT_SF if name == "h" else get_model(name), t)
     assert str(info.value) == message
 
 
@@ -278,8 +303,8 @@ def test_mean_excess_of_a_survival_that_never_falls():
     flat = TailModel(name="flat-tail", upper_quantile=lambda u: -np.log(u),
                      survival=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
     with pytest.raises(DomainError) as info:
-        mean_excess_R(flat, 0.0)
-    assert str(info.value) == "survival of 'flat-tail' never falls below 5e-19 above t=0.0"
+        mean_excess_R(flat, 1.0)  # t = 0.0 is the derived endpoint, outside the support
+    assert str(info.value) == "survival of 'flat-tail' never falls below 5e-19 above t=1.0"
 
 
 def _tail_cutoff_80_steps(model, t, floor):
@@ -309,8 +334,8 @@ def _counting_sf(model):
         calls.append(x)
         return model.survival(x)
 
-    return TailModel(name=model.name, upper_quantile=model.upper_quantile, survival=survival,
-                     lower_endpoint=model.lower_endpoint), calls
+    return TailModel(name=model.name, upper_quantile=model.upper_quantile,
+                     survival=survival), calls
 
 
 # starting points t = Q(1 - u), where mean_excess_R starts its search
@@ -471,11 +496,16 @@ def test_transform_log_rejects_nonpositive_endpoint():
                      survival=lambda x: np.clip(-1.0 - np.asarray(x, dtype=float), 0.0, 1.0))
     with pytest.raises(DomainError, match=r"a = P\(X > 0\) must lie in \(0, 1\], got 0.0"):
         transform_log(dead)
-    # without a survival the mass above zero cannot be read off
-    blind = TailModel(name="blind", upper_quantile=lambda u: 1.0 / np.asarray(u, dtype=float))
+    # without a survival the mass above zero cannot be read off a support
+    # that starts below zero
+    blind = TailModel(name="blind", upper_quantile=lambda u: -np.log(u) - 1.0)
     with pytest.raises(DomainError,
                        match=r"^P\(X > 0\) is unknown for quantile-only model 'blind'$"):
         transform_log(blind)
+    # 1/u starts at 1, so all its mass is above zero: a = 1, no survival needed
+    above = transform_log(TailModel(name="above", upper_quantile=lambda u: 1.0 / u))
+    assert above.lower_endpoint == 0.0
+    assert float(above.quantile(0.25)) == math.log(4.0)
 
 
 def test_transform_exp_inverts_exp_of_log():

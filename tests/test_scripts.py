@@ -174,3 +174,45 @@ def test_bench_pairs_keeps_each_runs_env_line(capsys, monkeypatch, tmp_path):
     assert len(summary) == 2 * len(workloads)
     for line in summary:
         assert line.endswith("won 1/1  GAIN > BASE IQR" if "ops_per_s" in line else "won 0/1")
+
+
+def test_bench_pairs_writes_the_finished_runs_when_one_fails(capsys, monkeypatch, tmp_path):
+    # a stubbed subprocess.run: the change run of the second workload's
+    # first pair exits 3 with 30 lines of stderr; the five runs before it
+    # are written with the failure, and nothing runs after it
+    bench_pairs = _load("bench_pairs")
+    for side in ("base", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").touch()
+    workloads = [w["name"] for w in json.loads(
+        (SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    seen = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        seen.append((argv[argv.index("--workload") + 1], Path(cwd).name))
+        if len(seen) == 6:
+            stderr = "".join(f"trace line {i}\n" for i in range(30))
+            return subprocess.CompletedProcess(argv, 3, stdout="", stderr=stderr)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_line(ops_per_s=1.0)) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "fail", "--pairs", "2",
+                                      "--first-seed", "41", "--base", str(tmp_path / "base"),
+                                      "--change", str(tmp_path / "change")])
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code not in (0, None)
+    assert seen[-1] == (workloads[1], "change") and len(seen) == 6
+    doc = json.loads((tmp_path / "BENCH_fail.json").read_text(encoding="utf-8"))
+    assert [(run["workload"], run["pair"], run["side"]) for run in doc["runs"]] == [
+        (workloads[0], 0, "base"), (workloads[0], 0, "change"),
+        (workloads[0], 1, "change"), (workloads[0], 1, "base"), (workloads[1], 0, "base")]
+    assert doc["failed_run"] == {
+        "workload": workloads[1], "pair": 0, "seed": 41, "side": "change", "exit_code": 3,
+        "stderr_tail": "\n".join(f"trace line {i}" for i in range(10, 30))}
+    assert list(doc["summary"]) == [workloads[0], workloads[1]]
+    assert doc["summary"][workloads[0]]["pairs"] == 2
+    assert doc["summary"][workloads[1]]["pairs"] == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_fail.json"

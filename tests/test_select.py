@@ -80,9 +80,12 @@ def test_verdict_small_n_rejected():
     for k in (1, 1000):
         with pytest.raises(DomainError, match=rf"^need 2 <= k < n, got k={k}, n=1000$"):
             verdict(0.5, 1000, k)
-    for t in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="^T_n must be finite"):
+    # a spacing over log k is never negative: -1.0 gave "exponential" and
+    # -100.0 an OverflowError from the Gumbel log-density
+    for t in (math.nan, math.inf, -math.inf, -1.0, -100.0):
+        with pytest.raises(DomainError) as info:
             verdict(t, 1000, 31)
+        assert str(info.value) == f"T_n must be finite and >= 0, got {t}"
 
 
 def test_verdict_serialization():
