@@ -2,7 +2,8 @@
 """Alternating end-to-end benchmark runs of two checkouts, summarized per
 metric.
 
-For each workload in BENCHMARK.json and each of N seeds, a pair of runs
+For each workload in BENCHMARK.json (or each one named by ``--workload``,
+which may be repeated) and each of N seeds, a pair of runs
 executes ``<tree>/bench/run.py --trace 0`` once on the base checkout and
 once on the change checkout, each in a fresh process started in its own
 tree, at the same seed and at the benchmark's ``run_seconds``. The base
@@ -27,7 +28,7 @@ under ``failed_run``, and the script exits non-zero.
 
 Usage:
     python scripts/bench_pairs.py --label cmp --base ../parent --pairs 10 \\
-        --first-seed 41
+        --first-seed 41 [--workload replicate-small-n ...]
 """
 
 import argparse
@@ -136,12 +137,13 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     return json.loads(lines[-1]), env
 
 
-def _run_pairs(benchmark: dict, trees: dict, pairs: int, first_seed: int) -> tuple:
+def _run_pairs(benchmark: dict, trees: dict, workloads: list, pairs: int,
+               first_seed: int) -> tuple:
     """Every run's record, in the alternating order, and the run that failed
     (None if none did), with the last 20 lines of its stderr: the first run
     that exits non-zero ends the loop."""
     runs = []
-    for workload in (w["name"] for w in benchmark["workloads"]):
+    for workload in workloads:
         for pair in range(pairs):
             seed = first_seed + pair
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
@@ -177,13 +179,18 @@ def main() -> None:
                         help="the checkout under test (default: this one)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
     parser.add_argument("--first-seed", type=int, default=1, help="pair p runs at seed first + p")
+    names = [w["name"] for w in benchmark["workloads"]]
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="a workload to pair, in the order given; repeat for more "
+                             "(default: every workload of BENCHMARK.json)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     seconds = benchmark["run_seconds"]
-    runs, failed_run = _run_pairs(benchmark, trees, args.pairs, args.first_seed)
+    workloads = list(dict.fromkeys(args.workload)) if args.workload else names
+    runs, failed_run = _run_pairs(benchmark, trees, workloads, args.pairs, args.first_seed)
     summary = summarize(runs, directions(benchmark), bounds(benchmark))
     for workload, doc in summary.items():
         for name, m in doc["metrics"].items():

@@ -39,10 +39,15 @@ monotone, so this is exactly what sorting the uniforms and transforming
 them would produce (the test suite asserts bitwise equality with that slow
 reference path).
 
-A replicate draws its n raw outputs in chunks of at most 2**16 and keeps
-only candidates for its k+1 largest, so it holds O(k + 2**16) of them, not
-n, and its time stays linear in n. Each draw spends exactly one PCG64
-output, so the chunks make up the same stream as one call of size n.
+Selection takes one of two paths, by n. For n <= 2**16, the replicates
+are drawn in turn into the rows of one uint64 block of min(2**16 // n,
+1024, M) rows, which one partition along its rows then selects from: a run
+holds at most 2**16 block values, whatever M is, and pays one partition
+call per block, not per replicate. A larger n draws its n raw outputs in
+chunks of at most 2**16 and keeps only candidates for its k+1 largest, so
+it holds O(k + 2**16) of them, not n, and its time stays linear in n. Each
+draw spends exactly one PCG64 output, so the chunks make up the same
+stream as one call of size n.
 """
 
 from __future__ import annotations
@@ -80,6 +85,19 @@ _MIX_XOR, _MIX_MUL = _hash_chain(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
 _OUT_XOR, _OUT_MUL = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
 
 
+def _source_columns(constants: np.ndarray) -> np.ndarray:
+    """Per source word src, the (4, 1) column of the three hash uses that
+    mix it into the other words, in their order; the source's own row is
+    0, as its mixed value is discarded."""
+    columns = np.zeros((4, 4, 1), dtype=np.uint32)
+    for src in range(4):
+        columns[src, [d for d in range(4) if d != src]] = constants[4 + 3 * src:7 + 3 * src]
+    return columns
+
+
+_SRC_XOR, _SRC_MUL = _source_columns(_MIX_XOR), _source_columns(_MIX_MUL)
+
+
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     out = values ^ xor
     out *= mul
@@ -104,12 +122,13 @@ def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
     pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
     # each word mixes into the three others, with three further hash uses;
     # the source word does not change meanwhile, so the three are independent
+    # and the whole pool mixes at once, the source row put back after
     for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        uses = slice(4 + 3 * src, 7 + 3 * src)
-        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _MIX_XOR[uses], _MIX_MUL[uses]) * _MIX_R
-        mixed ^= mixed >> _XSHIFT
-        pool[dst] = mixed
+        source = pool[src].copy()
+        pool *= _MIX_L
+        pool -= _hashmix(source, _SRC_XOR[src], _SRC_MUL[src]) * _MIX_R
+        pool ^= pool >> _XSHIFT
+        pool[src] = source
     words = _hashmix(np.concatenate((pool, pool)), _OUT_XOR, _OUT_MUL)  # 8 words, cycling the pool
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
@@ -234,38 +253,53 @@ def _top_and_kth(n: int, k: int, generator: np.random.Generator,
     values, so the partitions cost O(n) in all for any k.
     """
     keep = k + 1
-    # One chunk is partitioned where it lies: the loop would copy it into the
-    # pool, which measured about 7% fewer ops/s on replicate-small-n.
-    if n <= _CHUNK:
-        top = _draw(generator, n)
-    else:
-        size = drawn = 0
-        floor = None  # no floor before the first compaction
-        while drawn < n:
-            chunk = _draw(generator, min(_CHUNK, n - drawn))
-            drawn += chunk.size
-            above = chunk if floor is None else chunk[chunk > floor]
-            pool[size:size + above.size] = above
-            size += above.size
-            if size >= 2 * keep:
-                pool[:size].partition(size - keep)
-                pool[:keep] = pool[size - keep:size]  # disjoint, as size - keep >= keep
-                size, floor = keep, pool[0]
-            del chunk, above  # so the next chunk reuses this one's memory
-        top = pool[:size]
-    top.partition(top.size - keep)
+    size = drawn = 0
+    floor = None  # no floor before the first compaction
+    while drawn < n:
+        chunk = _draw(generator, min(_CHUNK, n - drawn))
+        drawn += chunk.size
+        above = chunk if floor is None else chunk[chunk > floor]
+        pool[size:size + above.size] = above
+        size += above.size
+        if size >= 2 * keep:
+            pool[:size].partition(size - keep)
+            pool[:keep] = pool[size - keep:size]  # disjoint, as size - keep >= keep
+            size, floor = keep, pool[0]
+        del chunk, above  # so the next chunk reuses this one's memory
+    top = pool[:size]
+    top.partition(size - keep)
     return top[-keep:].max(), top[-keep]
+
+
+def _block_top_and_kth(k: int, block: np.ndarray, generators, out: np.ndarray) -> None:
+    """Fill row j of the (r, n) uint64 block with the next n raw 64-bit
+    outputs of the j-th next generator, and write the row's largest and
+    (k+1)-th largest into row j of the (r, 2) uint64 out. One partition
+    along the rows selects for every row at once."""
+    n = block.shape[1]
+    for row in range(len(block)):
+        block[row] = _draw(next(generators), n)
+    block.partition(n - k - 1, axis=1)
+    out[:, 0] = block[:, n - k - 1:].max(axis=1)
+    out[:, 1] = block[:, n - k - 1]
 
 
 def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
     """The (M, 2) raw 64-bit outputs X_{n,n} and X_{n-k,n} of replicates
-    0..M-1, as uint64; one pool serves every replicate. Replicate i draws
-    stream stream_id + i, seeded from the batch hash of its block of
-    _SEED_BLOCK streams."""
+    0..M-1, as uint64. Replicate i draws stream stream_id + i, seeded from
+    the batch hash of its block of _SEED_BLOCK streams.
+
+    For n <= _CHUNK, rows of up to min(_CHUNK // n, _SEED_BLOCK) replicates
+    fill one block of at most _CHUNK draws (_block_top_and_kth); a larger n
+    goes through _top_and_kth, with one pool for every replicate."""
     if n > np.iinfo(np.intp).max:
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate")
+    rows = min(_CHUNK // n, _SEED_BLOCK, m)
     try:
-        pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.uint64)
+        if rows:
+            block = np.empty((rows, n), dtype=np.uint64)
+        else:
+            pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.uint64)
     except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
         raise DomainError(
             f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
@@ -279,9 +313,16 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
     _register_seed_state()
     for start in range(0, m, _SEED_BLOCK):
         first = rng.stream_id + start
-        for i, state in enumerate(_seed_states(rng.seed, first, min(_SEED_BLOCK, m - start))):
-            replicate = RngSpec(seed=rng.seed, stream_id=first + i, _state=state)
-            stats[start + i] = _top_and_kth(n, k, replicate.generator(), pool)
+        states = _seed_states(rng.seed, first, min(_SEED_BLOCK, m - start))
+        generators = (RngSpec(seed=rng.seed, stream_id=first + i, _state=state).generator()
+                      for i, state in enumerate(states))
+        if rows:
+            for lo in range(0, len(states), rows):
+                out = stats[start + lo:start + min(lo + rows, len(states))]
+                _block_top_and_kth(k, block[:len(out)], generators, out)
+        else:
+            for i, generator in enumerate(generators):
+                stats[start + i] = _top_and_kth(n, k, generator, pool)
     return stats
 
 

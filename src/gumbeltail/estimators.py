@@ -68,7 +68,8 @@ class KPolicy:
             raise DomainError(f"{self.kind} policy given a parameter it does not take: {self!r}")
         if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
             raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
-        if self.kind == "fixed" and not isinstance(self.k, (int, np.integer)):
+        if self.kind == "fixed" and (not isinstance(self.k, (int, np.integer))
+                                     or isinstance(self.k, bool)):
             raise DomainError(f"fixed policy requires an integer k, got {self.k!r}")
         if self.kind == "fixed" and self.k < 1:
             raise DomainError("fixed policy requires a positive k")
@@ -99,10 +100,13 @@ class KPolicy:
         return cls(head, **{name: value})
 
     def spec(self) -> str:
+        """The spec that parse reads back to this policy. An ell is printed
+        short (2.0 as 2) where that keeps its value, else in full."""
         if self.kind == "sqrt":
             return "sqrt"
         if self.kind == "logpow":
-            return f"logpow:{self.ell:g}"
+            ell = float(self.ell)
+            return f"logpow:{ell:g}" if float(f"{ell:g}") == ell else f"logpow:{ell!r}"
         return f"fixed:{self.k}"
 
 

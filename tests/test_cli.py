@@ -669,6 +669,22 @@ def test_config_echo_is_pinned(capsys, grid_file, exp_file, argv, expected):
     assert list(_echo(out, fmt).items()) == list(expected.items())
 
 
+@pytest.mark.parametrize("spec,echo,k", [
+    ("logpow:2.0000001", "logpow:2.0000001", 75), ("logpow:2", "logpow:2", 74),
+    ("logpow:2.0", "logpow:2", 74),
+])
+def test_config_echo_reproduces_the_run(capsys, spec, echo, k):
+    # the echoed k-policy, run again, gives the same k: logpow:2.0000001 was
+    # echoed as logpow:2, which gives k = 74 at this n, not 75
+    argv = ["norming", "--model", "exponential", "--n", "5769", "--format", "json"]
+    code, out, err = run(capsys, argv + ["--k-policy", spec])
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert (doc["config"]["k_policy"], doc["k"]) == (echo, k)
+    code, again, _ = run(capsys, argv + ["--k-policy", echo])
+    assert code == 0 and json.loads(again)["k"] == k
+
+
 def test_config_echo_names_the_out_file(capsys, tmp_path):
     out_path = tmp_path / "reps.csv"
     code, out, _ = run(capsys, ["simulate", "--model", "normal", "--n", "1000", "--reps", "2",

@@ -10,8 +10,10 @@ import pytest
 from scipy import stats
 
 from gumbeltail.engine import (
+    _CHUNK,
     _SEED_BLOCK,
     RngSpec,
+    _block_top_and_kth,
     _draw,
     _order_stats,
     _open_uniforms,
@@ -400,6 +402,48 @@ def test_order_stats_of_random_arrays_match_sort():
         ordered = np.sort(values)
         got = _top_and_kth(n, k, _ChunkStub(values), _pool(n, k))
         assert [int(v) for v in got] == [ordered[-1], ordered[-1 - k]], (n, k)
+
+
+def test_block_rows_of_random_arrays_match_sort():
+    # about 2000 rows in blocks of 1 to 12, with k spread over 1..n-1: one
+    # partition along the rows that is off by one is wrong on a few rows
+    draws = np.random.default_rng(3141)
+    for _ in range(300):
+        n = int(draws.integers(10, 2001))
+        k = int(draws.integers(1, n))
+        values = draws.integers(0, 1 << 53, size=(int(draws.integers(1, 13)), n))
+        out = np.empty((len(values), 2), dtype=np.uint64)
+        _block_top_and_kth(k, np.empty(values.shape, dtype=np.uint64),
+                           iter([_ChunkStub(row) for row in values]), out)
+        ordered = np.sort(values, axis=1)
+        assert out.tolist() == np.stack([ordered[:, -1], ordered[:, -1 - k]], axis=1).tolist(), (n, k)
+
+
+def _block_cases():
+    """(n, m) at the edges of the block: rows = min(_CHUNK // n, _SEED_BLOCK)
+    replicates share one block, and above _CHUNK there is none (the chunk
+    loop draws one replicate at a time)."""
+    for n in (_CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1):
+        rows = max(_CHUNK // n, 1)
+        for m in sorted({1, rows - 1, rows, rows + 1} - {0}):
+            yield n, m
+    yield 40, _SEED_BLOCK + 1          # rows = _SEED_BLOCK: one block per seed block
+    yield 1000, _SEED_BLOCK + 70       # 65 rows, which do not divide a seed block
+
+
+@pytest.mark.parametrize("n,m", list(_block_cases()))
+@pytest.mark.parametrize("k", ["1", "n-1"])
+def test_block_order_stats_match_sorted_reference(n, m, k):
+    # each replicate's pair equals the top and (k+1)-th largest of its own
+    # lone stream, sorted: across a full block, a partial one, one row, and
+    # the chunk loop just above _CHUNK
+    k = 1 if k == "1" else n - 1
+    rng = RngSpec(seed=n + m, stream_id=3 * k)
+    got = _order_stats(n, k, m, rng)
+    assert got.shape == (m, 2) and got.dtype == np.uint64
+    for i in range(m):
+        ordered = np.sort(_draw(RngSpec(seed=rng.seed, stream_id=rng.stream_id + i).generator(), n))
+        assert got[i].tolist() == [ordered[-1], ordered[-1 - k]], i
 
 
 def test_run_replicates_stores_at_most_64_bytes_per_replicate():

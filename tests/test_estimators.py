@@ -122,6 +122,29 @@ def test_k_policy_spec_parses_back_to_itself(policy):
     assert KPolicy.parse(policy.spec()) == policy
 
 
+@pytest.mark.parametrize("ell,spec", [
+    (2.0, "logpow:2"), (2, "logpow:2"), (2.5, "logpow:2.5"), (0.1, "logpow:0.1"),
+    (2.0000001, "logpow:2.0000001"), (1 / 3, "logpow:0.3333333333333333"),
+    (np.float64(1.2345678), "logpow:1.2345678"), (1e-05, "logpow:1e-05"),
+])
+def test_logpow_spec_keeps_ell(ell, spec):
+    # an ell that six significant digits would change is printed in full:
+    # 2.0000001 was echoed as logpow:2, which gives k = 74 at n = 5769, not 75
+    policy = KPolicy.log_power(ell)
+    assert policy.spec() == spec
+    parsed = KPolicy.parse(spec)
+    assert parsed == policy and parsed.ell == float(ell)
+    assert select_k(parsed, 5769) == select_k(policy, 5769)
+
+
+@pytest.mark.parametrize("k", [True, False, np.bool_(True)])
+def test_fixed_policy_refuses_a_bool(k):
+    # True is an int, so it was taken as k = 1 and printed as fixed:True,
+    # which parse refuses
+    with pytest.raises(DomainError, match=f"^fixed policy requires an integer k, got {k!r}$"):
+        KPolicy.fixed(k)
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: KPolicy("sqrt", ell=2.0),
      "sqrt policy given a parameter it does not take: "

@@ -216,3 +216,43 @@ def test_bench_pairs_writes_the_finished_runs_when_one_fails(capsys, monkeypatch
     assert doc["summary"][workloads[0]]["pairs"] == 2
     assert doc["summary"][workloads[1]]["pairs"] == 0
     assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_fail.json"
+
+
+def test_bench_pairs_runs_only_the_named_workloads(capsys, monkeypatch, tmp_path):
+    # a stubbed subprocess.run; --workload is repeatable, keeps the order
+    # given, runs a name given twice once, and refuses a name that
+    # BENCHMARK.json does not declare
+    bench_pairs = _load("bench_pairs")
+    for side in ("base", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").touch()
+    workloads = [w["name"] for w in json.loads(
+        (SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    seen = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        seen.append(argv[argv.index("--workload") + 1])
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_line(ops_per_s=1.0)) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    trees = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change")]
+    chosen = [workloads[-1], workloads[0], workloads[-1]]
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "some", "--pairs", "2", *trees]
+                        + [arg for name in chosen for arg in ("--workload", name)])
+    bench_pairs.main()
+    assert seen == [workloads[-1]] * 4 + [workloads[0]] * 4
+    doc = json.loads((tmp_path / "BENCH_some.json").read_text(encoding="utf-8"))
+    assert list(doc["summary"]) == [workloads[-1], workloads[0]]
+
+    seen.clear()
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "all", "--pairs", "1", *trees])
+    bench_pairs.main()
+    assert seen == [name for name in workloads for _ in range(2)]
+
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "bad", *trees,
+                                      "--workload", "no-such-workload"])
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code == 2 and "no-such-workload" in capsys.readouterr().err
