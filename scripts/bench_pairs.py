@@ -20,11 +20,16 @@ the direction that BENCHMARK.json gives for the metric. It flags, as
 ``GAIN > BASE IQR``, a metric whose median moved the better way by more
 than the base's interquartile range, and, as ``WORSE THAN BOUND``, one
 whose median got worse than the base's by more than the metric's bound in
-BENCHMARK.json, a relative change. Everything is written to
-BENCH_<label>.json in the current directory. If a run exits non-zero, no
-further run starts: the runs finished before it are summarized and written,
-with the failed run's workload, pair, seed, side, exit code and stderr tail
-under ``failed_run``, and the script exits non-zero.
+BENCHMARK.json, a relative change. Two more flags state the rules a
+claimed gain and a comparison are held to: ``CLAIM MET`` when the change
+won at least 9 of every 10 pairs and its gain exceeds the base IQR, and
+``UNRESOLVED`` when the base IQR, relative to the base median, is wider
+than the metric's bound, unless every change run beats every base run.
+Everything is written to BENCH_<label>.json in the current directory. If a
+run exits non-zero, no further run starts: the runs finished before it are
+summarized and written, with the failed run's workload, pair, seed, side,
+exit code and stderr tail under ``failed_run``, and the script exits
+non-zero.
 
 Usage:
     python scripts/bench_pairs.py --label cmp --base ../parent --pairs 10 \\
@@ -71,9 +76,13 @@ def summarize(runs: list, better: dict, bound: dict) -> dict:
     """Per workload: run counts, correctness, and per metric each side's
     median and quartiles, the pairs the change won, the change of the
     median relative to the base median, whether the median moved the
-    better way by more than the base's interquartile range, and whether it
-    moved the worse way by more than the metric's bound (None where the
-    metric has no bound or the base median is 0).
+    better way by more than the base's interquartile range, whether it
+    moved the worse way by more than the metric's bound, whether a claimed
+    gain is met (at least 9 of every 10 pairs won and a gain above the base
+    IQR), and whether the comparison is unresolved (a relative base IQR
+    wider than the bound, with some change run not beating every base run).
+    The bound's two flags are None where the metric has no bound or the
+    base median is 0.
 
     runs holds {"workload", "pair", "seed", "side", "line"} records, side
     being "base" or "change" and line a parsed result line.
@@ -104,20 +113,26 @@ def summarize(runs: list, better: dict, bound: dict) -> dict:
             gain = change_median - base_median if direction == "higher" else base_median - change_median
             base_iqr = stats["base"]["q3"] - stats["base"]["q1"]
             relative = (change_median - base_median) / base_median if base_median else None
+            change_won = sum(_better(values["change"][p], values["base"][p], direction)
+                             for p in paired)
+            separated = all(_better(c, b, direction)
+                            for c in values["change"].values() for b in values["base"].values())
             limit = bound.get(name)
-            worse = None
+            worse = unresolved = None
             if relative is not None and limit is not None:
                 worse = (-relative if direction == "higher" else relative) > limit
+                unresolved = base_iqr / abs(base_median) > limit and not separated
             doc["metrics"][name] = {
                 "better": direction,
                 **stats,
-                "change_won": sum(_better(values["change"][p], values["base"][p], direction)
-                                  for p in paired),
+                "change_won": change_won,
                 "of_pairs": len(paired),
                 "median_change": relative,
                 "base_iqr": base_iqr,
                 "gain_exceeds_base_iqr": gain > base_iqr,
                 "worse_than_bound": worse,
+                "claim_met": bool(paired) and 10 * change_won >= 9 * len(paired) and gain > base_iqr,
+                "unresolved": unresolved,
             }
         out[workload] = doc
     return out
@@ -199,7 +214,9 @@ def main() -> None:
                   f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]"
                   f"  won {m['change_won']}/{m['of_pairs']}"
                   + ("  GAIN > BASE IQR" if m["gain_exceeds_base_iqr"] else "")
-                  + ("  WORSE THAN BOUND" if m["worse_than_bound"] else ""))
+                  + ("  WORSE THAN BOUND" if m["worse_than_bound"] else "")
+                  + ("  CLAIM MET" if m["claim_met"] else "")
+                  + ("  UNRESOLVED" if m["unresolved"] else ""))
     doc = {
         "label": args.label,
         "command": "python scripts/bench_pairs.py " + " ".join(sys.argv[1:]),

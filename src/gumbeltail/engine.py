@@ -39,15 +39,14 @@ monotone, so this is exactly what sorting the uniforms and transforming
 them would produce (the test suite asserts bitwise equality with that slow
 reference path).
 
-Selection takes one of two paths, by n. For n <= 2**16, the replicates
-are drawn in turn into the rows of one uint64 block of min(2**16 // n,
-1024, M) rows, which one partition along its rows then selects from: a run
-holds at most 2**16 block values, whatever M is, and pays one partition
-call per block, not per replicate. A larger n draws its n raw outputs in
-chunks of at most 2**16 and keeps only candidates for its k+1 largest, so
-it holds O(k + 2**16) of them, not n, and its time stays linear in n. Each
-draw spends exactly one PCG64 output, so the chunks make up the same
-stream as one call of size n.
+One loop walks the replicates, and one partition step selects each pair.
+For n <= 2**16, replicate i is drawn into row i % rows of one uint64 buffer
+of rows = min(2**16 // n, 1024, M), selected once full or at the end: a run
+holds at most 2**16 buffer values, whatever M is, and pays one partition
+per buffer, not per replicate. A larger n draws in chunks of at most 2**16
+and keeps only candidates for its k+1 largest, O(k + 2**16) values, so its
+time stays linear in n. Each draw spends exactly one PCG64 output, so the
+chunks make up the same stream as one call of size n.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GumbelTailError
-from .estimators import KPolicy, SortedSample, select_k
+from .estimators import KPolicy, SortedSample, _is_integer, select_k
 from .models import NormingConstants, TailModel, norming
 
 
@@ -158,7 +157,7 @@ def _register_seed_state() -> None:
 @dataclass(frozen=True)
 class RngSpec:
     """Seed and stream identifier of one deterministic uniform stream;
-    both must lie in [0, 2**64).
+    both are integers in [0, 2**64), a numpy integer stored as an int.
 
     _state, when set by the replicate loop (_order_stats), is the stream's
     PCG64 seed state, equal to what SeedSequence([seed, stream_id])
@@ -169,6 +168,13 @@ class RngSpec:
     _state: np.ndarray | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
+        seed, stream = self.seed, self.stream_id
+        if type(seed) is not int or type(stream) is not int:  # a bool, float or numpy value
+            if not (_is_integer(seed) and _is_integer(stream)):
+                raise DomainError(f"seed and stream must be integers, got seed={seed!r}, "
+                                  f"stream={stream!r}")
+            object.__setattr__(self, "seed", int(seed))  # so that stream_id + M cannot wrap
+            object.__setattr__(self, "stream_id", int(stream))
         if not (0 <= self.seed < 1 << 64 and 0 <= self.stream_id < 1 << 64):
             raise DomainError(f"seed and stream must lie in [0, 2**64), got seed={self.seed}, "
                               f"stream={self.stream_id}")
@@ -241,11 +247,20 @@ def inverse_transform(model: TailModel, sorted_u: np.ndarray) -> SortedSample:
 _CHUNK = 1 << 16
 
 
+def _select(block: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write each row's largest and (k+1)-th largest of the (r, w) uint64
+    block into the (r, 2) out, after one partition of the rows at w - (k+1)."""
+    cut = block.shape[1] - k - 1
+    block.partition(cut, axis=1)
+    out[:, 0] = block[:, cut:].max(axis=1)
+    out[:, 1] = block[:, cut]
+
+
 def _top_and_kth(n: int, k: int, generator: np.random.Generator,
-                 pool: np.ndarray) -> tuple[int, int]:
-    """The largest and the (k+1)-th largest of the generator's next n raw
-    64-bit outputs, drawn in chunks of at most _CHUNK into the uint64 pool,
-    which holds min(n, 2k + 2 + _CHUNK) values.
+                 pool: np.ndarray, out: np.ndarray) -> None:
+    """Write the largest and (k+1)-th largest of the generator's next n raw
+    64-bit outputs into the (1, 2) uint64 out, drawn in chunks of at most
+    _CHUNK into the uint64 pool of min(n, 2k + 2 + _CHUNK) values.
 
     Once the pool holds 2(k+1) values it is partitioned and compacted to
     its k+1 largest, whose least is the floor; from then on a chunk adds
@@ -266,22 +281,7 @@ def _top_and_kth(n: int, k: int, generator: np.random.Generator,
             pool[:keep] = pool[size - keep:size]  # disjoint, as size - keep >= keep
             size, floor = keep, pool[0]
         del chunk, above  # so the next chunk reuses this one's memory
-    top = pool[:size]
-    top.partition(size - keep)
-    return top[-keep:].max(), top[-keep]
-
-
-def _block_top_and_kth(k: int, block: np.ndarray, generators, out: np.ndarray) -> None:
-    """Fill row j of the (r, n) uint64 block with the next n raw 64-bit
-    outputs of the j-th next generator, and write the row's largest and
-    (k+1)-th largest into row j of the (r, 2) uint64 out. One partition
-    along the rows selects for every row at once."""
-    n = block.shape[1]
-    for row in range(len(block)):
-        block[row] = _draw(next(generators), n)
-    block.partition(n - k - 1, axis=1)
-    out[:, 0] = block[:, n - k - 1:].max(axis=1)
-    out[:, 1] = block[:, n - k - 1]
+    _select(pool[None, :size], k, out)
 
 
 def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
@@ -289,17 +289,14 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
     0..M-1, as uint64. Replicate i draws stream stream_id + i, seeded from
     the batch hash of its block of _SEED_BLOCK streams.
 
-    For n <= _CHUNK, rows of up to min(_CHUNK // n, _SEED_BLOCK) replicates
-    fill one block of at most _CHUNK draws (_block_top_and_kth); a larger n
-    goes through _top_and_kth, with one pool for every replicate."""
+    For n <= _CHUNK, replicate i fills row i % rows of one buffer of at most
+    _CHUNK values, which _select reads once full or at the end; a larger n
+    streams through _top_and_kth, with the buffer as its pool."""
     if n > np.iinfo(np.intp).max:
         raise DomainError(f"n={n} is beyond the largest array numpy can allocate")
     rows = min(_CHUNK // n, _SEED_BLOCK, m)
     try:
-        if rows:
-            block = np.empty((rows, n), dtype=np.uint64)
-        else:
-            pool = np.empty(min(n, 2 * (k + 1) + _CHUNK), dtype=np.uint64)
+        buffer = np.empty((rows, n) if rows else min(n, 2 * (k + 1) + _CHUNK), dtype=np.uint64)
     except (ValueError, MemoryError):  # numpy refuses the size, or malloc does at once
         raise DomainError(
             f"k={k} at n={n}: the k+1 largest draws are beyond what numpy can allocate"
@@ -311,18 +308,18 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
     if rng.stream_id + m > 1 << 64:
         raise DomainError(f"streams {rng.stream_id}..{rng.stream_id + m - 1} pass 2**64 - 1")
     _register_seed_state()
-    for start in range(0, m, _SEED_BLOCK):
-        first = rng.stream_id + start
-        states = _seed_states(rng.seed, first, min(_SEED_BLOCK, m - start))
-        generators = (RngSpec(seed=rng.seed, stream_id=first + i, _state=state).generator()
-                      for i, state in enumerate(states))
-        if rows:
-            for lo in range(0, len(states), rows):
-                out = stats[start + lo:start + min(lo + rows, len(states))]
-                _block_top_and_kth(k, block[:len(out)], generators, out)
-        else:
-            for i, generator in enumerate(generators):
-                stats[start + i] = _top_and_kth(n, k, generator, pool)
+    for i in range(m):
+        if i % _SEED_BLOCK == 0:
+            states = _seed_states(rng.seed, rng.stream_id + i, min(_SEED_BLOCK, m - i))
+        generator = RngSpec(seed=rng.seed, stream_id=rng.stream_id + i,
+                            _state=states[i % _SEED_BLOCK]).generator()
+        if not rows:
+            _top_and_kth(n, k, generator, buffer, stats[i:i + 1])
+            continue
+        row = i % rows
+        buffer[row] = _draw(generator, n)
+        if row == rows - 1 or i == m - 1:
+            _select(buffer[:row + 1], k, stats[i - row:i + 1])
     return stats
 
 
@@ -356,8 +353,8 @@ def run_replicates(
 
 def gumbel_cdf(x, lambda_scale: float):
     """CDF of the lambda-scaled Gumbel law, exp(-e^(-x / lambda))."""
-    if not lambda_scale > 0.0:
-        raise DomainError(f"lambda scale must be positive, got {lambda_scale}")
+    if not (math.isfinite(lambda_scale) and lambda_scale > 0.0):
+        raise DomainError(f"lambda scale must be finite and positive, got {lambda_scale}")
     return np.exp(-np.exp(-np.asarray(x, dtype=float) / lambda_scale))
 
 

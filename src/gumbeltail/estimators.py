@@ -20,6 +20,11 @@ import numpy as np
 from .errors import DomainError
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """An ascending sample of finite real values, the substrate of all
@@ -68,8 +73,7 @@ class KPolicy:
             raise DomainError(f"{self.kind} policy given a parameter it does not take: {self!r}")
         if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
             raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
-        if self.kind == "fixed" and (not isinstance(self.k, (int, np.integer))
-                                     or isinstance(self.k, bool)):
+        if self.kind == "fixed" and not _is_integer(self.k):
             raise DomainError(f"fixed policy requires an integer k, got {self.k!r}")
         if self.kind == "fixed" and self.k < 1:
             raise DomainError("fixed policy requires a positive k")
@@ -154,10 +158,19 @@ def _check_k(k: float, n: int) -> None:
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
 
 
+def _index_k(k: int, n: int) -> int:
+    """The estimators read X_{n-k,n} by index, so their k is an integer; a
+    numpy integer is returned as an int, so that n - 1 - k cannot wrap."""
+    if not _is_integer(k):
+        raise DomainError(f"k must be an integer, got {k!r}")
+    _check_k(k, n)
+    return int(k)
+
+
 def de_haan_resnick(s: SortedSample, k: int) -> float:
     """Max-spacing estimator T_n = (X_{n,n} - X_{n-k,n}) / log k."""
     n = s.n
-    _check_k(k, n)
+    k = _index_k(k, n)
     t_n = (float(s.values[n - 1]) - float(s.values[n - 1 - k])) / math.log(k)
     if not math.isfinite(t_n):
         raise DomainError(f"T_n overflows a float at k={k}")
@@ -174,14 +187,14 @@ def de_haan_resnick_log_scale(positive_sample: SortedSample, k: int) -> float:
     values = positive_sample.values
     if values[0] <= 0.0:
         raise DomainError("log-scale estimator requires all values > 0")
-    _check_k(k, positive_sample.n)
+    k = _index_k(k, positive_sample.n)
     return de_haan_resnick(SortedSample(np.log(values[-(k + 1):])), k)
 
 
 def hill(s: SortedSample, k: int) -> float:
     """Hill estimator: mean of the top-k exceedances over X_{n-k,n}."""
     n = s.n
-    _check_k(k, n)
+    k = _index_k(k, n)
     base = s.values[n - 1 - k]
     with np.errstate(over="ignore"):
         mean = float(np.mean(s.values[n - k:] - base))

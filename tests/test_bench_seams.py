@@ -77,3 +77,16 @@ def test_tracer_counts_every_seed_and_draw():
     snapshot = tracer.snapshot({None})
     assert snapshot["spans"]["engine.seed"]["calls"] == 6
     assert snapshot["counts"]["engine.uniforms_drawn"] == 200 + 3 * 1000 + 2 * 70000 == 143200
+
+
+def test_tracer_counts_row_blocks_that_straddle_a_seed_block():
+    # n = 1000 fills buffers of 65 rows, and 1100 replicates take seed
+    # blocks of 1024 and 76 streams, so the buffer read at replicate 1039
+    # holds rows of both; every replicate still seeds and draws once
+    codes, tracer, _ = _traced_run([
+        ["simulate", "--model", "exp-of-log", "--n", "1000", "--reps", "1100"],
+    ])
+    assert codes == [0]
+    snapshot = tracer.snapshot({None})
+    assert snapshot["spans"]["engine.seed"]["calls"] == 1100
+    assert snapshot["counts"]["engine.uniforms_drawn"] == 1100 * 1000

@@ -13,11 +13,11 @@ from gumbeltail.engine import (
     _CHUNK,
     _SEED_BLOCK,
     RngSpec,
-    _block_top_and_kth,
     _draw,
     _order_stats,
     _open_uniforms,
     _seed_states,
+    _select,
     _top_and_kth,
     gumbel_cdf,
     inverse_transform,
@@ -113,6 +113,24 @@ def test_replicate_state_is_not_compared_or_shown():
     assert first == RngSpec(seed=3, stream_id=5)
     assert hash(first) == hash(RngSpec(seed=3, stream_id=5))
     assert repr(first) == "RngSpec(seed=3, stream_id=5)"
+
+
+@pytest.mark.parametrize("seed,stream_id", [(1, 2.5), (1.5, 0), (2.0, 0), (True, 0), (1, False),
+                                            ("1", 0), (None, 0)])
+def test_rng_spec_refuses_a_non_integer_seed_or_stream(seed, stream_id):
+    # a float stream would run as its truncation, and a float seed would
+    # fail later, in numpy or in the batch hash; a bool is not a seed
+    with pytest.raises(DomainError, match="^seed and stream must be integers"):
+        RngSpec(seed=seed, stream_id=stream_id)
+
+
+def test_rng_spec_keeps_numpy_integers_as_ints():
+    rng = RngSpec(seed=np.uint64(2**64 - 1), stream_id=np.int32(7))
+    assert rng == RngSpec(seed=2**64 - 1, stream_id=7)
+    assert type(rng.seed) is int and type(rng.stream_id) is int
+    # a uint64 stream plus M would wrap below 2**64 and pass the bound
+    with pytest.raises(DomainError, match=r"pass 2\*\*64 - 1"):
+        _order_stats(4, 2, 2, RngSpec(seed=1, stream_id=np.uint64(2**64 - 1)))
 
 
 @pytest.mark.parametrize("seed,stream_id", [
@@ -331,6 +349,13 @@ def _pool(n, k):
     return np.empty(min(n, 2 * (k + 1) + CHUNK), dtype=np.uint64)
 
 
+def _top_and_kth_pair(n, k, generator):
+    """_top_and_kth's (1, 2) output, as its one row."""
+    out = np.empty((1, 2), dtype=np.uint64)
+    _top_and_kth(n, k, generator, _pool(n, k), out)
+    return out[0]
+
+
 def _tied_draws(n, k):
     """Values whose (k+1)-th largest is tied with everything below it, in
     every chunk: k values of 8, the rest 7, the 8s in the last chunk."""
@@ -382,7 +407,7 @@ def test_order_stats_across_chunks(draws, k):
     n = 3 * CHUNK + 7
     values = draws(n, k)
     stub = _ChunkStub(values)
-    got = np.array(_top_and_kth(n, k, stub, _pool(n, k)), dtype=np.uint64)
+    got = _top_and_kth_pair(n, k, stub)
     ordered = np.sort(values)
     assert got.tolist() == [ordered[-1], ordered[-1 - k]]
     assert sum(stub.sizes) == n and max(stub.sizes) <= CHUNK
@@ -400,7 +425,7 @@ def test_order_stats_of_random_arrays_match_sort():
         k = int(draws.integers(1, n))
         values = draws.integers(0, 1 << 53, size=n)
         ordered = np.sort(values)
-        got = _top_and_kth(n, k, _ChunkStub(values), _pool(n, k))
+        got = _top_and_kth_pair(n, k, _ChunkStub(values))
         assert [int(v) for v in got] == [ordered[-1], ordered[-1 - k]], (n, k)
 
 
@@ -413,8 +438,7 @@ def test_block_rows_of_random_arrays_match_sort():
         k = int(draws.integers(1, n))
         values = draws.integers(0, 1 << 53, size=(int(draws.integers(1, 13)), n))
         out = np.empty((len(values), 2), dtype=np.uint64)
-        _block_top_and_kth(k, np.empty(values.shape, dtype=np.uint64),
-                           iter([_ChunkStub(row) for row in values]), out)
+        _select(values.astype(np.uint64), k, out)
         ordered = np.sort(values, axis=1)
         assert out.tolist() == np.stack([ordered[:, -1], ordered[:, -1 - k]], axis=1).tolist(), (n, k)
 
@@ -475,7 +499,7 @@ def test_gumbel_cdf_values():
 
 
 def test_gumbel_cdf_rejects_bad_scale():
-    for lam in (0.0, -1.0):
+    for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             gumbel_cdf(1.0, lam)
 

@@ -203,6 +203,17 @@ def test_k_out_of_range():
         de_haan_resnick(s, 10)
 
 
+@pytest.mark.parametrize("estimator", [de_haan_resnick, de_haan_resnick_log_scale, hill])
+def test_estimators_refuse_a_non_integer_k(estimator):
+    # k indexes X_{n-k,n}: a float or bool k is a DomainError, not numpy's
+    # IndexError or TypeError, and a numpy integer k reads the same pair
+    s = SortedSample(np.arange(1.0, 101.0))
+    for k in (2.5, 3.0, True):
+        with pytest.raises(DomainError, match=f"^k must be an integer, got {k!r}$"):
+            estimator(s, k)
+    assert estimator(s, np.int64(9)) == estimator(s, np.uint8(9)) == estimator(s, 9)
+
+
 # ---------------------------------------------------------------------------
 # log scale
 

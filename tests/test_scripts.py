@@ -103,6 +103,31 @@ def test_bench_pairs_summary_of_canned_lines():
     assert v["correct"] == {"base": False, "change": True}
     assert v["metrics"]["ops_per_s"]["change_won"] == 1
     assert v["metrics"]["ops_per_s"]["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    # 3 of 4 pairs won falls short of 9 in 10; with no bound, no spread is
+    # called unresolved
+    assert not ops["claim_met"] and ops["unresolved"] is None
+    # the base ops_per_s IQR is 8.75 / 102.5 = 8.5% of its median, wider than
+    # a 5% bound, and a change run (80) is below a base run; setup_s spreads
+    # 0.015 / 0.205 = 7.3%, within a 25% bound
+    bounded = bench_pairs.summarize(runs, better, {"ops_per_s": 0.05, "setup_s": 0.25})["w"]
+    assert bounded["metrics"]["ops_per_s"]["unresolved"] is True
+    assert bounded["metrics"]["setup_s"]["unresolved"] is False
+
+    # ten pairs, base 100..109 (IQR 4.5, 4.3% of the median 104.5), change
+    # 120 + p but for pair 0: a claim is met at 9 of 10 pairs won and not at
+    # 8, and a 1% bound leaves the spread unresolved unless every change run
+    # beats every base run
+    def ten_pairs(*first_changes):
+        change = [*first_changes, *(120.0 + p for p in range(len(first_changes), 10))]
+        runs = [{"workload": "u", "pair": p, "seed": p, "side": side, "line": _line(ops_per_s=value)}
+                for p in range(10) for side, value in (("base", 100.0 + p), ("change", change[p]))]
+        return bench_pairs.summarize(runs, better, {"ops_per_s": 0.01})["u"]["metrics"]["ops_per_s"]
+
+    one_lost, two_lost, none_lost = ten_pairs(95.0), ten_pairs(95.0, 96.0), ten_pairs(200.0)
+    assert (one_lost["change_won"], one_lost["base_iqr"]) == (9, 4.5)
+    assert one_lost["claim_met"] and one_lost["unresolved"]
+    assert two_lost["change_won"] == 8 and not two_lost["claim_met"] and two_lost["unresolved"]
+    assert none_lost["claim_met"] and none_lost["unresolved"] is False
 
 
 def test_bench_pairs_flags_a_median_worse_than_its_bound():
@@ -169,11 +194,13 @@ def test_bench_pairs_keeps_each_runs_env_line(capsys, monkeypatch, tmp_path):
     for run in doc["runs"]:
         assert run["env"] == trees[run["side"]]
         assert run["line"] == lines[run["side"]]
-    # the summary line flags a median gain larger than the base's quartile spread
+    # the summary line flags a median gain larger than the base's quartile
+    # spread, which, with the one pair won, meets a claim
     summary = [line for line in capsys.readouterr().out.splitlines() if " won " in line]
     assert len(summary) == 2 * len(workloads)
     for line in summary:
-        assert line.endswith("won 1/1  GAIN > BASE IQR" if "ops_per_s" in line else "won 0/1")
+        assert line.endswith("won 1/1  GAIN > BASE IQR  CLAIM MET" if "ops_per_s" in line
+                             else "won 0/1")
 
 
 def test_bench_pairs_writes_the_finished_runs_when_one_fails(capsys, monkeypatch, tmp_path):
