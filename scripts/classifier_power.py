@@ -12,8 +12,10 @@ Usage:
 """
 
 import argparse
+import sys
 
-from gumbeltail import KPolicy, RngSpec, get_model, run_replicates, transform_log, verdict
+from gumbeltail import (GumbelTailError, KPolicy, RngSpec, get_model, run_replicates,
+                        transform_log, verdict)
 from gumbeltail.select import EXPONENTIAL, NORMAL
 
 
@@ -24,7 +26,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--policy", default="sqrt")
     args = parser.parse_args()
+    try:
+        study(args)
+    except GumbelTailError as exc:  # a bad argument, reported as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
+
+def study(args: argparse.Namespace) -> None:
     policy = KPolicy.parse(args.policy)
     print(f"policy {policy.spec()}, reps {args.reps}, seed {args.seed}")
     print(f"{'n':>8} {'exp correct':>12} {'norm correct':>13}")

@@ -13,10 +13,11 @@ Usage:
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from gumbeltail import KPolicy, RngSpec, get_model, ks_distance, run_replicates
+from gumbeltail import GumbelTailError, KPolicy, RngSpec, get_model, ks_distance, run_replicates
 
 
 def main() -> None:
@@ -29,7 +30,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--policy", default="sqrt", help="sqrt | logpow:<ell> | fixed:<k>")
     args = parser.parse_args()
+    try:
+        study(args)
+    except GumbelTailError as exc:  # a bad argument, reported as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
+
+def study(args: argparse.Namespace) -> None:
     policy = KPolicy.parse(args.policy)
     print(f"policy {policy.spec()}, reps {args.reps}, seed {args.seed}")
     print(f"{'model':>14} {'n':>8} {'k':>5} {'median |T|':>11} {'lambda':>8} {'KS':>8} {'pass':>5}")

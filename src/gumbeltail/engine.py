@@ -17,7 +17,8 @@ stream_id] to PCG64, which builds numpy's own SeedSequence from it. The
 replicate loop (_order_stats) instead walks the seed states of a run's
 streams, hashed in blocks of 1024 as uint32 array arithmetic equal to
 SeedSequence bit for bit (its hash constants do not depend on the entropy),
-and hands each state to PCG64 through the replicate's RngSpec.
+and hands each state to PCG64 through the replicate's RngSpec, wrapped in a
+_SeedState, which registers itself as a numpy ISeedSequence when first built.
 
 Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
 full-range ``integers`` path, which copies them with no bound applied, and
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GumbelTailError
-from .estimators import KPolicy, SortedSample, _is_integer, select_k
+from .estimators import KPolicy, SortedSample, _as_int, select_k
 from .models import NormingConstants, TailModel, norming
 
 
@@ -134,13 +135,14 @@ def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
 
 class _SeedState:
     """A precomputed PCG64 seed state, handed to numpy's PCG64 through its
-    ISeedSequence interface (registered on first use, so that importing this
-    module does not load numpy.random). PCG64 asks it for 4 uint64 words,
-    which is all it holds."""
+    ISeedSequence interface (registered on first construction, so that
+    importing this module does not load numpy.random). PCG64 asks it for 4
+    uint64 words, which is all it holds."""
 
     __slots__ = ("state",)
 
     def __init__(self, state: np.ndarray):
+        _register_seed_state()
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
@@ -168,13 +170,10 @@ class RngSpec:
     _state: np.ndarray | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        seed, stream = self.seed, self.stream_id
-        if type(seed) is not int or type(stream) is not int:  # a bool, float or numpy value
-            if not (_is_integer(seed) and _is_integer(stream)):
-                raise DomainError(f"seed and stream must be integers, got seed={seed!r}, "
-                                  f"stream={stream!r}")
-            object.__setattr__(self, "seed", int(seed))  # so that stream_id + M cannot wrap
-            object.__setattr__(self, "stream_id", int(stream))
+        if type(self.seed) is not int or type(self.stream_id) is not int:  # bool, float or numpy
+            message = "seed and stream must be integers"  # ints, so stream_id + M cannot wrap
+            object.__setattr__(self, "seed", _as_int(self.seed, message))
+            object.__setattr__(self, "stream_id", _as_int(self.stream_id, message))
         if not (0 <= self.seed < 1 << 64 and 0 <= self.stream_id < 1 << 64):
             raise DomainError(f"seed and stream must lie in [0, 2**64), got seed={self.seed}, "
                               f"stream={self.stream_id}")
@@ -223,7 +222,7 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
 def sorted_uniforms(n: int, rng: RngSpec) -> np.ndarray:
     """n uniforms strictly inside (0, 1), sorted ascending, deterministic
     per RngSpec."""
-    if n < 2:
+    if (n := _as_int(n, "n must be an integer")) < 2:
         raise DomainError(f"need n >= 2, got {n}")
     try:
         raw = _draw(rng.generator(), n)
@@ -307,7 +306,6 @@ def _order_stats(n: int, k: int, m: int, rng: RngSpec) -> np.ndarray:
         raise DomainError(f"reps={m} is beyond the largest array numpy can allocate") from None
     if rng.stream_id + m > 1 << 64:
         raise DomainError(f"streams {rng.stream_id}..{rng.stream_id + m - 1} pass 2**64 - 1")
-    _register_seed_state()
     for i in range(m):
         if i % _SEED_BLOCK == 0:
             states = _seed_states(rng.seed, rng.stream_id + i, min(_SEED_BLOCK, m - i))
@@ -339,6 +337,7 @@ def run_replicates(
     transform_log(model). Results are deterministic for a fixed RngSpec and
     ordered by replicate index.
     """
+    n, m = _as_int(n, "n must be an integer"), _as_int(m, "m must be an integer")
     if m < 1:
         raise DomainError(f"need at least one replicate, got m={m}")
     k = select_k(policy, n)
@@ -408,7 +407,7 @@ def reproduce_table(rng: RngSpec, n_total: int = 4000) -> list[TableRow]:
     the upper gap 1 - u_(n). Because x = sqrt(2y), columns two and three
     agree exactly; the row is rejected if they drift beyond 1e-12.
     """
-    if n_total < 100:
+    if (n_total := _as_int(n_total, "n_total must be an integer")) < 100:
         raise DomainError(f"need n_total >= 100, got {n_total}")
     u = sorted_uniforms(n_total, rng)
     y = -np.log1p(-u)

@@ -20,9 +20,12 @@ import numpy as np
 from .errors import DomainError
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _as_int(value, message: str) -> int:
+    """The package's one integer rule: an int or a numpy integer is returned
+    as an int; anything else, a bool too, is DomainError("<message>, got <value!r>")."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class KPolicy:
     """Rule producing the intermediate sequence k(n).
 
     kind is one of "sqrt" (k = floor(sqrt(n))), "logpow"
-    (k = floor(log(n) ** ell)) or "fixed" (constant k).
+    (k = floor(log(n) ** ell)) or "fixed" (constant k, kept as an int).
     """
 
     kind: str
@@ -73,10 +76,10 @@ class KPolicy:
             raise DomainError(f"{self.kind} policy given a parameter it does not take: {self!r}")
         if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
             raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
-        if self.kind == "fixed" and not _is_integer(self.k):
-            raise DomainError(f"fixed policy requires an integer k, got {self.k!r}")
-        if self.kind == "fixed" and self.k < 1:
-            raise DomainError("fixed policy requires a positive k")
+        if self.kind == "fixed":
+            object.__setattr__(self, "k", _as_int(self.k, "fixed policy requires an integer k"))
+            if self.k < 1:
+                raise DomainError("fixed policy requires a positive k")
 
     @classmethod
     def sqrt(cls) -> "KPolicy":
@@ -125,18 +128,17 @@ def select_k(policy: KPolicy, n: int) -> int:
     """Evaluate a k-policy at sample size n.
 
     The computed k is clamped up to 2 (log k must stay positive) and must
-    satisfy k < n. Raises DomainError for an infeasible fixed k, for n < 4
-    or above the float range, and when the computed k cannot fit below n
-    (including log(n) ** ell overflowing a float).
+    satisfy k < n. Raises DomainError for an infeasible fixed k, for n not
+    an integer, below 4 or above the float range, and when the computed k
+    cannot fit below n (including log(n) ** ell overflowing a float).
     """
-    if n < 4:
+    if (n := _as_int(n, "n must be an integer")) < 4:
         raise DomainError(f"need n >= 4, got {n}")
     _check_n_in_float_range(n)
     if policy.kind == "fixed":
-        k = int(policy.k)
-        if k <= 1 or k >= n:
-            raise DomainError(f"fixed k={k} infeasible for n={n}")
-        return k
+        if not 1 < policy.k < n:
+            raise DomainError(f"fixed k={policy.k} infeasible for n={n}")
+        return policy.k
     if policy.kind == "sqrt":
         k = math.isqrt(n)
     else:
@@ -161,10 +163,9 @@ def _check_k(k: float, n: int) -> None:
 def _index_k(k: int, n: int) -> int:
     """The estimators read X_{n-k,n} by index, so their k is an integer; a
     numpy integer is returned as an int, so that n - 1 - k cannot wrap."""
-    if not _is_integer(k):
-        raise DomainError(f"k must be an integer, got {k!r}")
+    k = _as_int(k, "k must be an integer")
     _check_k(k, n)
-    return int(k)
+    return k
 
 
 def de_haan_resnick(s: SortedSample, k: int) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimators
 from .errors import AuxNotVanishing, DomainError
-from .estimators import _check_k
+from .estimators import _as_int, _check_k
 from .normal import normal_sf, normal_upper_quantile
 
 # Survival values below this fraction of the start point are treated as
@@ -338,16 +338,16 @@ def _iterated_scale(base: float, p: int) -> float:
     return out
 
 
-def _check_depth(p: int) -> None:
-    # the tail mass P(Z > e_{p-1}(1)) underflows to zero from p = 4 on
-    # (e_3(1) ~ 3.8e6)
-    if not 1 <= p <= 3:
+def _check_depth(p: int) -> int:
+    # the tail mass P(Z > e_{p-1}(1)) underflows to zero from p = 4 on (e_3(1) ~ 3.8e6)
+    if not 1 <= (p := _as_int(p, "iterated-log depth must be 1, 2 or 3")) <= 3:
         raise DomainError(f"iterated-log depth must be 1, 2 or 3, got {p}")
+    return p
 
 
 def iterated_c_n(p: int, n: int) -> float:
     """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
-    _check_depth(p)
+    p = _check_depth(p)
     if n < 16:
         raise DomainError(f"need n >= 16, got {n}")
     return _iterated_scale(2.0 * math.log(n), p)
@@ -361,7 +361,7 @@ def iterated_log_model(p: int) -> TailModel:
     The log and exp chains stay on math per element: np.log and np.exp
     differ by an ulp on some inputs, which the chain would amplify.
     """
-    _check_depth(p)
+    p = _check_depth(p)
     m = float(normal_sf(_iterated_exp(1.0, p - 1)))
     log_chain = np.vectorize(lambda z: _iterated_log(z, p), otypes=[float])
     exp_chain = np.vectorize(lambda v: _iterated_exp(v, p), otypes=[float])

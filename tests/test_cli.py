@@ -885,8 +885,9 @@ def test_estimate_and_table_do_not_import_scipy(grid_file):
 
 
 def test_cli_import_does_not_load_numpy_random():
-    # the replicate loop registers its seed-state type with numpy.random on
-    # first use; importing the CLI and building its parser must not load it.
+    # the engine registers its seed-state type with numpy.random when it
+    # builds the first one; importing the CLI and building its parser must
+    # not load it.
     # numpy 1.x loads numpy.random on `import numpy`, so there this cannot hold
     proc = _fresh_python(
         "import sys\n"
@@ -899,6 +900,19 @@ def test_cli_import_does_not_load_numpy_random():
     if proc.stdout.startswith("True\n"):
         pytest.skip("this numpy loads numpy.random on import numpy")
     assert proc.stdout == "False\nFalse\n"
+
+
+def test_a_seed_state_seeds_its_generator_in_a_fresh_process():
+    # numpy learns the seed-state type when the first one is built, not when
+    # the replicate loop first runs; registration is global to a process,
+    # so a new interpreter that never ran the loop checks it
+    proc = _fresh_python(
+        "from gumbeltail.engine import RngSpec, _seed_states\n"
+        "spec = RngSpec(1, 0, _state=_seed_states(1, 0, 1)[0])\n"
+        "print(spec.generator().integers(0, 1 << 53, size=3).tolist())\n"
+    )
+    expected = engine.RngSpec(1, 0).generator().integers(0, 1 << 53, size=3).tolist()
+    assert json.loads(proc.stdout) == expected
 
 
 def test_quadrature_route_imports_scipy_integrate_on_first_use(capsys):

@@ -30,6 +30,19 @@ def test_script_runs(capsys, monkeypatch, name, args, last_line):
     assert lines[-1].lstrip().startswith(last_line)
 
 
+@pytest.mark.parametrize("name,args,message", [
+    ("classifier_power", ["--n-grid", "50"], "error: need n >= 100, got 50"),
+    ("convergence_study", ["--reps", "0"], "error: need at least one replicate, got m=0"),
+])
+def test_script_reports_a_bad_argument_as_the_cli_does(capsys, monkeypatch, name, args, message):
+    # a DomainError ends the script with its message and exit code 2, not a traceback
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    with pytest.raises(SystemExit) as info:
+        _load(name).main()
+    assert info.value.code == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_classifier_power_output(capsys, monkeypatch):
     # the rates of sorting each sample and classifying it, which the
     # script's replicate loop must reproduce exactly; the normal parent is
