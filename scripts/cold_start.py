@@ -17,6 +17,8 @@ Usage:
     python scripts/cold_start.py --label local --repeats 9
     python scripts/cold_start.py --label cmp --src parent=/tmp/parent/src --src change=src
     python scripts/cold_start.py --label smoke --commands table --repeats 1
+    python scripts/cold_start.py --label read --commands estimate-large test-large \
+        --src parent=/tmp/parent/src --src change=src
 """
 
 import argparse
@@ -35,10 +37,15 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SAMPLE = "<sample>"  # stands for the sample file written for estimate and test
+# stand for the sample files written for estimate and test, by their line
+# counts; 1e5 lines is the size of the analysis workload's largest files
+SAMPLE, LARGE_SAMPLE = "<sample>", "<large sample>"
+SAMPLE_LINES = {SAMPLE: 1000, LARGE_SAMPLE: 100_000}
 COMMANDS = {
     "estimate": ["estimate", SAMPLE],
+    "estimate-large": ["estimate", LARGE_SAMPLE],
     "test": ["test", SAMPLE],
+    "test-large": ["test", LARGE_SAMPLE],
     "table": ["table"],
     "norming": ["norming", "--model", "exp-of-log", "--n", "1000000"],
     "norming-quadrature": ["norming", "--model", "log-normal", "--n", "1000000"],
@@ -59,10 +66,9 @@ _PROBE = (
 )
 
 
-def _write_sample(directory: str) -> str:
-    """1000 exponential quantiles log((n + 1) / i), one per line."""
-    n = 1000
-    path = os.path.join(directory, "sample.txt")
+def _write_sample(directory: str, n: int) -> str:
+    """n exponential quantiles log((n + 1) / i), one repr (up to 17 digits) per line."""
+    path = os.path.join(directory, f"sample-{n}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{math.log((n + 1) / i)!r}\n" for i in range(1, n + 1))
     return path
@@ -117,8 +123,8 @@ def main() -> None:
     trees = dict(args.src or [_tree(f"src={ROOT / 'src'}")])
 
     with tempfile.TemporaryDirectory() as tmp:
-        sample = _write_sample(tmp)
-        argvs = {name: [sample if a == SAMPLE else a for a in COMMANDS[name]] for name in args.commands}
+        samples = {mark: _write_sample(tmp, n) for mark, n in SAMPLE_LINES.items()}
+        argvs = {name: [samples.get(a, a) for a in COMMANDS[name]] for name in args.commands}
         loaded = {side: {name: _probe(argvs[name], src) for name in argvs}
                   for side, src in trees.items()}
         runs = {side: {name: [] for name in argvs} for side in trees}

@@ -98,14 +98,21 @@ def _read_sample(path: str) -> SortedSample:
     """The sample in a file of ASCII decimal numbers, one per line; blank
     lines are skipped. numpy parses the lines in C with the same correctly
     rounded conversion as float(). The file is opened here, not by numpy,
-    so a compressed-looking or URL-shaped path is read as plain text. A file
-    numpy rejects is scanned again in Python, only to name its bad line."""
+    so a compressed-looking or URL-shaped path is read as plain text. numpy
+    reads that open file as /dev/fd/<fd>, in large chunks, and reads the
+    handle line by line only where that name cannot be opened (no /dev/fd,
+    or a deleted working directory). A file numpy rejects is scanned again
+    in Python, only to name its bad line."""
+    read = functools.partial(np.loadtxt, dtype=float, comments=None, ndmin=2, encoding="utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             # an empty file is reported below, as a file of fewer than two values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+                try:
+                    values = read(f"/dev/fd/{fh.fileno()}")
+                except FileNotFoundError:
+                    values = read(fh)
             except ValueError as exc:  # UnicodeDecodeError included
                 raise GumbelTailError(_non_numeric(path, fh, str(exc))) from None
             if values.shape[1] != 1:

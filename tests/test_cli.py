@@ -545,6 +545,52 @@ def test_sample_file_is_opened_as_text_by_the_cli(capsys, monkeypatch, grid_file
     assert out.splitlines()[1:] == expected.splitlines()[1:]
 
 
+def test_numpy_reads_the_cli_handle_by_its_fd_name(capsys, monkeypatch, grid_file):
+    # a name lets numpy read in chunks; a handle it reads line by line
+    fds, names = [], []
+    loadtxt = np.loadtxt
+
+    def fd_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        fds.append(fh.fileno())
+        return fh
+
+    def spy(fname, *args, **kwargs):
+        names.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fd_open, raising=False)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    code, out, err = run(capsys, ["estimate", "--k", "31", grid_file])
+    assert (code, err) == (0, "")
+    assert names == [f"/dev/fd/{fd}" for fd in fds] and len(fds) == 1
+
+
+def test_estimate_from_a_deleted_working_directory(capsys, grid_file, tmp_path):
+    # numpy cannot resolve a name without a working directory; the CLI then
+    # reads its handle
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    proc = _fresh_python(
+        "import os\n"
+        "from gumbeltail.cli import dispatch\n"
+        f"os.chdir({str(gone)!r})\n"
+        f"os.rmdir({str(gone)!r})\n"
+        f"raise SystemExit(dispatch(['estimate', {grid_file!r}]))\n")
+    code, expected, _ = run(capsys, ["estimate", grid_file])
+    assert (code, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_url_shaped_sample_name_is_read_as_plain_text(capsys, monkeypatch, grid_file, tmp_path):
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    shutil.copyfile(grid_file, tmp_path / "http:" / "host" / "x")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["estimate", "--k", "31", "http://host/x"])
+    assert (code, err) == (0, "")
+    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    assert out.splitlines()[1:] == expected.splitlines()[1:]
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()

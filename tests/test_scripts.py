@@ -74,6 +74,22 @@ def test_cold_start_times_one_command(capsys, monkeypatch, tmp_path):
     assert 10.0 < doc["median_peak_rss_mb"]["src"]["table"] < 500.0
 
 
+def test_cold_start_reads_the_large_sample(capsys, monkeypatch, tmp_path):
+    cold_start = _load("cold_start")
+    lines = Path(cold_start._write_sample(str(tmp_path), 100_000)).read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == 100_000 and all(repr(float(line)) == line for line in lines)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cold_start.py", "--label", "smoke", "--commands",
+                                      "estimate-large", "--repeats", "1"])
+    cold_start.main()
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_smoke.json"
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    assert doc["commands"] == {"estimate-large": "estimate <large sample>"}
+    assert len(doc["runs_s"]["src"]["estimate-large"]) == 1
+    assert doc["median_s"]["src"]["estimate-large"] > 0.0
+
+
 def _line(correct=True, failed=0, **metrics):
     return {"correct": correct, "attempted": 100, "failed": failed,
             "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()}}
