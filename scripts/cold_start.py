@@ -123,7 +123,8 @@ def main() -> None:
     trees = dict(args.src or [_tree(f"src={ROOT / 'src'}")])
 
     with tempfile.TemporaryDirectory() as tmp:
-        samples = {mark: _write_sample(tmp, n) for mark, n in SAMPLE_LINES.items()}
+        samples = {mark: _write_sample(tmp, n) for mark, n in SAMPLE_LINES.items()
+                   if any(mark in COMMANDS[name] for name in args.commands)}
         argvs = {name: [samples.get(a, a) for a in COMMANDS[name]] for name in args.commands}
         loaded = {side: {name: _probe(argvs[name], src) for name in argvs}
                   for side, src in trees.items()}

@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -99,18 +100,18 @@ def _read_sample(path: str) -> SortedSample:
     lines are skipped. numpy parses the lines in C with the same correctly
     rounded conversion as float(). The file is opened here, not by numpy,
     so a compressed-looking or URL-shaped path is read as plain text. numpy
-    reads that open file as /dev/fd/<fd>, in large chunks, and reads the
-    handle line by line only where that name cannot be opened (no /dev/fd,
-    or a deleted working directory). A file numpy rejects is scanned again
-    in Python, only to name its bad line."""
+    reads a regular file in chunks by its /dev/fd/<fd> name, and a pipe or a
+    file it cannot name (no /dev/fd or working directory) line by line from
+    the handle. A rejected file is scanned again only to name its bad line."""
     read = functools.partial(np.loadtxt, dtype=float, comments=None, ndmin=2, encoding="utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             # an empty file is reported below, as a file of fewer than two values
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            name = f"/dev/fd/{fh.fileno()}"  # a pipe reopened by it would wait for a writer
             try:
                 try:
-                    values = read(f"/dev/fd/{fh.fileno()}")
+                    values = read(name if os.path.isfile(name) else fh)
                 except FileNotFoundError:
                     values = read(fh)
             except ValueError as exc:  # UnicodeDecodeError included

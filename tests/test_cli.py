@@ -566,6 +566,42 @@ def test_numpy_reads_the_cli_handle_by_its_fd_name(capsys, monkeypatch, grid_fil
     assert names == [f"/dev/fd/{fd}" for fd in fds] and len(fds) == 1
 
 
+def test_pipe_whose_writer_has_closed_is_read_from_the_handle(capsys, monkeypatch, grid_file,
+                                                              tmp_path):
+    # the writer has written (the 1000 lines fit in the pipe's buffer) and
+    # closed before the CLI's open returns: numpy reopening the pipe by name
+    # would wait for another writer. Should it, the watchdog opens the pipe
+    # for writing, ending the wait, and the test fails on the record it leaves
+    fifo = tmp_path / "sample.fifo"
+    os.mkfifo(fifo)
+    with open(grid_file, encoding="utf-8") as fh:
+        data = fh.read()
+    writer = threading.Thread(target=fifo.write_text, args=(data,), daemon=True)
+
+    def open_after_writer(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        writer.join()
+        return fh
+
+    fired = []
+
+    def unblock():
+        fired.append(True)
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+    monkeypatch.setattr(cli, "open", open_after_writer, raising=False)
+    watchdog = threading.Timer(10, unblock)
+    writer.start()
+    watchdog.start()
+    try:
+        code, out, err = run(capsys, ["estimate", "--k", "31", str(fifo)])
+    finally:
+        watchdog.cancel()
+    assert (code, err, fired) == (0, "", [])
+    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    assert out.splitlines()[1:] == expected.splitlines()[1:]
+
+
 def test_estimate_from_a_deleted_working_directory(capsys, grid_file, tmp_path):
     # numpy cannot resolve a name without a working directory; the CLI then
     # reads its handle

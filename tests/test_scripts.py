@@ -79,10 +79,15 @@ def test_cold_start_reads_the_large_sample(capsys, monkeypatch, tmp_path):
     lines = Path(cold_start._write_sample(str(tmp_path), 100_000)).read_text(
         encoding="utf-8").splitlines()
     assert len(lines) == 100_000 and all(repr(float(line)) == line for line in lines)
+    written = []
+    write_sample = cold_start._write_sample
+    monkeypatch.setattr(cold_start, "_write_sample",
+                        lambda directory, n: written.append(n) or write_sample(directory, n))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["cold_start.py", "--label", "smoke", "--commands",
                                       "estimate-large", "--repeats", "1"])
     cold_start.main()
+    assert written == [100_000]  # the 1000-line sample no chosen command reads is not written
     assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_smoke.json"
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     assert doc["commands"] == {"estimate-large": "estimate <large sample>"}
