@@ -34,7 +34,6 @@ from .models import (
     TailModel,
     get_model,
     iterated_c_n,
-    iterated_log_model,
     lambda_ratio,
     mean_excess_R,
     model_names,
@@ -43,7 +42,7 @@ from .models import (
     transform_exp,
     transform_log,
 )
-from .normal import normal_cdf, normal_ppf, normal_sf, normal_upper_quantile
+from .normal import normal_ppf, normal_sf, normal_upper_quantile
 from .select import ModelVerdict, classify, verdict
 
 __version__ = "0.1.0"
@@ -69,12 +68,10 @@ __all__ = [
     "hill",
     "inverse_transform",
     "iterated_c_n",
-    "iterated_log_model",
     "ks_distance",
     "lambda_ratio",
     "mean_excess_R",
     "model_names",
-    "normal_cdf",
     "normal_ppf",
     "normal_sf",
     "normal_upper_quantile",

@@ -339,7 +339,6 @@ def _iterated_scale(base: float, p: int) -> float:
 
 
 def _check_depth(p: int) -> int:
-    # the tail mass P(Z > e_{p-1}(1)) underflows to zero from p = 4 on (e_3(1) ~ 3.8e6)
     if not 1 <= (p := _as_int(p, "iterated-log depth must be 1, 2 or 3")) <= 3:
         raise DomainError(f"iterated-log depth must be 1, 2 or 3, got {p}")
     return p
@@ -348,20 +347,19 @@ def _check_depth(p: int) -> int:
 def iterated_c_n(p: int, n: int) -> float:
     """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
     p = _check_depth(p)
-    if n < 16:
-        raise DomainError(f"need n >= 16, got {n}")
+    if not 16 <= n < math.inf:
+        raise DomainError(f"need 16 <= n < inf, got {n}")
     return _iterated_scale(2.0 * math.log(n), p)
 
 
-def iterated_log_model(p: int) -> TailModel:
+def _iterated_log_model(p: int) -> TailModel:
     """Model of log_p sup(e_{p-1}(1), Z) given Z > e_{p-1}(1), for standard
     normal Z; quantile u -> log_p Q_Z(1 - m u) with tail mass
-    m = P(Z > e_{p-1}(1)), for depth 1 <= p <= 3.
+    m = P(Z > e_{p-1}(1)).
 
     The log and exp chains stay on math per element: np.log and np.exp
     differ by an ulp on some inputs, which the chain would amplify.
     """
-    p = _check_depth(p)
     m = float(normal_sf(_iterated_exp(1.0, p - 1)))
     log_chain = np.vectorize(lambda z: _iterated_log(z, p), otypes=[float])
     exp_chain = np.vectorize(lambda v: _iterated_exp(v, p), otypes=[float])
@@ -445,22 +443,20 @@ _FACTORIES: dict[str, Callable[[], TailModel]] = {
     "exponential": _exponential_model,
     "gamma-tail": lambda: replace(_exponential_model(), name="gamma-tail"),
     "mason": _mason_model,
+    # depth p <= 3: the tail mass P(Z > e_{p-1}(1)) underflows to 0 from p = 4 (e_3(1) ~ 3.8e6)
+    "iterlog(1)": lambda: _iterated_log_model(1),
+    "iterlog(2)": lambda: _iterated_log_model(2),
+    "iterlog(3)": lambda: _iterated_log_model(3),
 }
 
 
 def model_names() -> list[str]:
-    return sorted(_FACTORIES) + ["iterlog(p)"]
+    """Every name get_model takes, sorted."""
+    return sorted(_FACTORIES)
 
 
 def get_model(name: str) -> TailModel:
-    """Look up a catalog model by name; "iterlog(p)" takes an integer depth
-    p, see iterated_log_model."""
-    if name.startswith("iterlog(") and name.endswith(")"):
-        try:
-            p = int(name[len("iterlog("):-1])
-        except ValueError:
-            raise DomainError(f"bad iterated-log depth in {name!r}") from None
-        return iterated_log_model(p)
+    """A fresh catalog model by its exact name, one of model_names()."""
     try:
         return _FACTORIES[name]()
     except KeyError:

@@ -1,4 +1,4 @@
-"""Standard normal CDF, survival and a high-accuracy inverse CDF.
+"""Standard normal survival and a high-accuracy inverse CDF.
 
 The inverse uses Acklam's rational approximation followed by one Halley
 refinement step against the erfc-based CDF, which brings the absolute
@@ -44,11 +44,6 @@ def _erfc(x):
     return erfc(x)
 
 
-def normal_cdf(x):
-    """Phi(x) via erfc, accurate in both tails."""
-    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
-
-
 def normal_sf(x):
     """Upper tail 1 - Phi(x) without cancellation."""
     return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
@@ -75,9 +70,9 @@ def normal_ppf(p):
         central = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
                   (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
         z = np.where(ph < _P_LOW, tail, central)
-        # One Halley step against normal_cdf; kept only where exp(z^2/2)
-        # is finite (|z| <= 37.5, p above ~1e-307).
-        u = (normal_cdf(z) - ph) * _SQRT2PI * np.exp(0.5 * z * z)
+        # One Halley step against Phi(z) = normal_sf(-z); kept only where
+        # exp(z^2/2) is finite (|z| <= 37.5, p above ~1e-307).
+        u = (normal_sf(-z) - ph) * _SQRT2PI * np.exp(0.5 * z * z)
         z = np.where(np.abs(z) <= 37.5, z - u / (1.0 + 0.5 * z * u), z)
     z = np.where(ph == 0.0, -np.inf, z)
     z = np.where(p > 0.5, -z, z)

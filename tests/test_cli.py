@@ -6,12 +6,14 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from gumbeltail import cli, engine
 from gumbeltail.cli import DEFAULT_SEED, build_parser, dispatch
 from gumbeltail.errors import GumbelTailError
 from gumbeltail.estimators import SortedSample
-from gumbeltail.models import NormingConstants
+from gumbeltail.models import NormingConstants, get_model, model_names
 
 GRID_T = 1.0092454329104992
 GRID_H = 0.9466319172089102
@@ -316,9 +318,7 @@ BAD_NUMBERS = st.sampled_from(["nan", "1e400", str(2**64), "-1"])
 # in six exits 0)
 PATHS = st.sampled_from(["<dir>/sample.txt"] * 4 + ["<dir>/missing.txt", "<dir>/a\x00b"])
 OUTS = st.sampled_from(["<dir>/out.txt"] * 3 + ["<dir>", "<dir>/missing/x", "<dir>/a\x00b"])
-MODELS = st.sampled_from(["exp-of-log", "normal", "log-normal", "pareto", "exponential",
-                          "gamma-tail", "mason", "iterlog(1)", "iterlog(2)", "iterlog(3)",
-                          "iterlog(0)", "bogus"])
+MODELS = st.sampled_from(model_names() + ["iterlog(0)", "iterlog(02)", "bogus"])
 K_SPECS = st.sampled_from(["sqrt", "logpow:1", "logpow:2.5", "fixed:5"] * 2 + [
     "logpow:nan", "logpow:-1", "fixed:2.5", "what:1", ""])
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -644,6 +644,38 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for name in ("estimate", "norming", "simulate", "ks", "table", "test"):
         assert name in text
+
+
+def test_every_catalog_name_is_a_model_and_in_the_help(capsys):
+    code, out, _ = run(capsys, ["norming", "--help"])
+    assert code == 0
+    for name in model_names():
+        assert get_model(name).name == name
+        assert name in out
+
+
+@pytest.mark.parametrize("name", ["iterlog(02)", "iterlog( 2)", "iterlog(+2)"])
+def test_only_the_exact_catalog_spelling_is_a_model(capsys, name):
+    code, out, err = run(capsys, ["norming", "--model", name, "--n", "10000"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: unknown model ")
+
+
+def _readme_commands() -> list:
+    """argv of every `gumbeltail ...` line of README.md, continuation lines
+    joined, except those that use a shell variable."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.lstrip().startswith("gumbeltail ") and "$" not in line]
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, "model", None) in [None, *model_names()]
 
 
 def test_parser_is_built_once():

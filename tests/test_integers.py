@@ -9,7 +9,7 @@ import pytest
 
 from gumbeltail import (DomainError, KPolicy, RngSpec, SortedSample, de_haan_resnick,
                         de_haan_resnick_log_scale, get_model, hill, iterated_c_n,
-                        iterated_log_model, run_replicates, select_k, summarize, verdict)
+                        run_replicates, select_k, summarize, verdict)
 from gumbeltail.engine import reproduce_table, sorted_uniforms
 
 SAMPLE = SortedSample(np.arange(1.0, 101.0))
@@ -25,11 +25,6 @@ def _replicates(n, m):
     numpy integer field."""
     rs = run_replicates(EXPONENTIAL, n, KPolicy.sqrt(), m, RngSpec(1))
     return rs.raw_t.tobytes(), rs.normalized.tobytes(), json.dumps(summarize(rs))
-
-
-def _iterlog(p):
-    model = iterated_log_model(p)
-    return model.name, model.quantile(np.array([1e-6, 1e-3, 0.5])).tobytes()
 
 
 # (entry point, good integer value, the message its refusal starts with);
@@ -59,7 +54,6 @@ CASES = {
                                 "n_total must be an integer"),
     "verdict-n": (lambda v: verdict(0.5, v, 31), 1000, "n must be an integer"),
     "verdict-k": (lambda v: verdict(0.5, 1000, v), 31, "k must be an integer"),
-    "iterated-log-model-p": (_iterlog, 2, "iterated-log depth must be 1, 2 or 3"),
     "iterated-c-n-p": (lambda v: _typed(iterated_c_n(v, 10**6)), 2,
                        "iterated-log depth must be 1, 2 or 3"),
 }

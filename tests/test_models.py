@@ -20,7 +20,6 @@ from gumbeltail.models import (
     _iterated_log,
     get_model,
     iterated_c_n,
-    iterated_log_model,
     lambda_ratio,
     mean_excess_R,
     model_names,
@@ -70,9 +69,7 @@ def test_quantile_non_increasing(name):
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-CATALOG = [name for name in model_names() if name != "iterlog(p)"] + [
-    "iterlog(1)", "iterlog(2)", "iterlog(3)",
-]
+CATALOG = model_names()
 
 
 def _built_model(name: str):
@@ -645,17 +642,21 @@ def test_iterated_c_n_guards():
         iterated_c_n(1, 15)
     with pytest.raises(DomainError, match="must be 1, 2 or 3"):
         iterated_c_n(0, 10**6)
+    # n is real-valued, but a NaN or infinite n is refused, not passed on as
+    # a NaN or inf factor; an int beyond the float range is still a finite n
+    for p in (1, 2, 3):
+        for n in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=rf"^need 16 <= n < inf, got {n}$"):
+                iterated_c_n(p, n)
+        assert math.isfinite(iterated_c_n(p, 10**400))
 
 
 def test_iterated_log_spec_validation():
-    # one depth rule, 1 <= p <= 3, with one message on both sides
-    for p in (0, -1, 4):
-        with pytest.raises(DomainError, match="must be 1, 2 or 3"):
-            iterated_log_model(p)
-        with pytest.raises(DomainError, match="must be 1, 2 or 3"):
-            get_model(f"iterlog({p})")
-    with pytest.raises(DomainError, match=r"^bad iterated-log depth in 'iterlog\(x\)'$"):
-        get_model("iterlog(x)")
+    # the catalog holds depths 1 to 3 under their exact names; any other
+    # depth or spelling is an unknown model
+    for name in ("iterlog(0)", "iterlog(4)", "iterlog(x)", "iterlog(02)", "iterlog(p)"):
+        with pytest.raises(DomainError, match=rf"^unknown model {re.escape(repr(name))}; "):
+            get_model(name)
 
 
 def test_iterlog_model_endpoints_and_monotonicity():
@@ -723,9 +724,9 @@ def test_iterlog_aux_names_the_non_positive_factor():
     # u = 1, where the root of 2 log(1/u) is 0, is refused by the aux rule;
     # just below it the root is positive and its log the first factor
     with pytest.raises(DomainError, match=r"^iterlog\(2\) aux needs 0 < u < 1, got u = 1\.0$"):
-        iterated_log_model(2).aux(1.0)
+        get_model("iterlog(2)").aux(1.0)
     with pytest.raises(DomainError, match=r"^iterated-log factor log_1\("):
-        iterated_log_model(2).aux(1.0 - 2.0**-53)
+        get_model("iterlog(2)").aux(1.0 - 2.0**-53)
 
 
 def test_iterated_log_is_only_given_positive_arguments(monkeypatch):
@@ -744,7 +745,7 @@ def test_iterated_log_is_only_given_positive_arguments(monkeypatch):
 
     monkeypatch.setattr(models, "_iterated_log", logging_iterated_log)
     for p in (1, 2, 3):
-        model = iterated_log_model(p)
+        model = get_model(f"iterlog({p})")
         model.quantile(np.array([5e-324, 1e-300, 1e-12, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]))
         calls = [lambda u=u: model.aux(u)
                  for u in (5e-324, 1e-300, 1e-12, 1e-4, 0.1, 0.5, 0.9, 1.0 - 2.0**-53)]
