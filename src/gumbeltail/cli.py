@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import engine
-from .errors import DomainError, GumbelTailError
+from .errors import GumbelTailError
 from .estimators import KPolicy, SortedSample, de_haan_resnick, hill, select_k
 from .models import get_model, lambda_ratio, model_names, norming, transform_log
 from .select import classify
@@ -33,6 +33,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # every option is named in full: argparse would otherwise take --k for --k-policy
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, allow_abbrev=False)
+
     def error(self, message):  # argparse would sys.exit(2); usage errors are 1
         raise _UsageError(message)
 
@@ -51,24 +54,13 @@ def _config(args, policy: KPolicy | None = None) -> dict:
     return {key: echo[key] for key in _ECHO_KEYS if echo.get(key) is not None}
 
 
-def _resolve_policy(args) -> KPolicy:
-    if args.k is not None and args.k_policy is not None:
-        raise _UsageError("give either --k or --k-policy, not both")
+def _parse_option(parse, value: str):
+    """parse(value) for a --model or --k-policy value. A value it refuses (an
+    unknown model, a bad k-policy spec) is a usage error, caught before any
+    computation."""
     try:
-        if args.k is not None:
-            return KPolicy.fixed(args.k)
-        if args.k_policy is not None:
-            return KPolicy.parse(args.k_policy)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return KPolicy.sqrt()
-
-
-def _get_model_checked(name: str):
-    """Unknown model names are usage errors, caught before any computation."""
-    try:
-        return get_model(name)
-    except DomainError as exc:
+        return parse(value)
+    except ValueError as exc:  # a DomainError is a ValueError
         raise _UsageError(str(exc)) from None
 
 
@@ -154,8 +146,8 @@ def _add_common(sub, model=False, n=False, k=False, reps=False, seed=False, fmt=
     if n:
         sub.add_argument("--n", type=int, required=True, help="sample size per replicate")
     if k:
-        sub.add_argument("--k", type=int, help="fixed number of top order statistics")
-        sub.add_argument("--k-policy", help="sqrt | logpow:<ell> | fixed:<k> (default sqrt)")
+        sub.add_argument("--k-policy", default="sqrt",
+                         help="sqrt | logpow:<ell> | fixed:<k> (default sqrt)")
     if reps:
         sub.add_argument("--reps", type=int, default=200, help="number of replicates")
     if seed:
@@ -205,7 +197,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_estimate(args) -> None:
-    policy = _resolve_policy(args)
+    policy = _parse_option(KPolicy.parse, args.k_policy)
     sample = _read_sample(args.path)
     k = select_k(policy, sample.n)
     t_n = de_haan_resnick(sample, k)
@@ -215,8 +207,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_norming(args) -> None:
-    model = _get_model_checked(args.model)
-    policy = _resolve_policy(args)
+    model = _parse_option(get_model, args.model)
+    policy = _parse_option(KPolicy.parse, args.k_policy)
     k = select_k(policy, args.n)
     nc = norming(model, args.n, k)
     probe = {}
@@ -238,8 +230,8 @@ def _cmd_norming(args) -> None:
 def _cmd_replicates(args) -> None:
     """simulate and ks: M seeded replicates, then a summary (with the KS
     verdict for ks) or, for simulate --format csv, one row per replicate."""
-    model = _get_model_checked(args.model)
-    policy = _resolve_policy(args)
+    model = _parse_option(get_model, args.model)
+    policy = _parse_option(KPolicy.parse, args.k_policy)
     rng = engine.RngSpec(seed=args.seed, stream_id=args.stream)
     ks = args.command == "ks"
     if ks:
@@ -274,7 +266,7 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_test(args) -> None:
-    policy = _resolve_policy(args)
+    policy = _parse_option(KPolicy.parse, args.k_policy)
     sample = _read_sample(args.path)
     verdict = classify(sample, policy)
     _emit(_config(args, policy), {"verdict": verdict.to_dict()},

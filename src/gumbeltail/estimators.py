@@ -28,6 +28,13 @@ def _as_int(value, message: str) -> int:
     raise DomainError(f"{message}, got {value!r}")
 
 
+def _as_real(value, name: str):
+    """The rule for a real-valued n or k: a float or a numpy float is returned
+    as it is, and anything else must pass _as_int, which refuses a bool."""
+    real = isinstance(value, (float, np.floating))
+    return value if real else _as_int(value, f"{name} must be a real number")
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """An ascending sample of finite real values, the substrate of all
@@ -155,8 +162,8 @@ def select_k(policy: KPolicy, n: int) -> int:
 
 
 def _check_k(k: float, n: int) -> None:
-    _check_n_in_float_range(n)
-    if not 2 <= k < n:
+    _check_n_in_float_range(_as_real(n, "n"))
+    if not 2 <= _as_real(k, "k") < n:
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
 
 

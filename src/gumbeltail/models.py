@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimators
 from .errors import AuxNotVanishing, DomainError
-from .estimators import _as_int, _check_k
+from .estimators import _as_int, _as_real, _check_k
 from .normal import normal_sf, normal_upper_quantile
 
 # Survival values below this fraction of the start point are treated as
@@ -347,7 +347,7 @@ def _check_depth(p: int) -> int:
 def iterated_c_n(p: int, n: int) -> float:
     """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
     p = _check_depth(p)
-    if not 16 <= n < math.inf:
+    if not 16 <= _as_real(n, "n") < math.inf:
         raise DomainError(f"need 16 <= n < inf, got {n}")
     return _iterated_scale(2.0 * math.log(n), p)
 

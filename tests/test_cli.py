@@ -46,7 +46,7 @@ def run(capsys, argv):
 
 
 def test_estimate_grid_oracles(capsys, grid_file):
-    code, out, err = run(capsys, ["estimate", "--k", "31", grid_file])
+    code, out, err = run(capsys, ["estimate", "--k-policy", "fixed:31", grid_file])
     assert code == 0 and not err
     fields = dict(line.split() for line in out.splitlines() if " " in line and not line.startswith("#"))
     assert abs(float(fields["T_n"]) - GRID_T) <= 1e-9
@@ -54,7 +54,8 @@ def test_estimate_grid_oracles(capsys, grid_file):
 
 
 def test_estimate_json_config_round_trip(capsys, grid_file):
-    code, out, _ = run(capsys, ["estimate", "--k", "31", "--format", "json", grid_file])
+    code, out, _ = run(capsys, ["estimate", "--k-policy", "fixed:31", "--format", "json",
+                                grid_file])
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1
@@ -158,7 +159,7 @@ def test_ks_command(capsys):
 
 def test_norming_command(capsys):
     code, out, _ = run(capsys, [
-        "norming", "--model", "exp-of-log", "--n", "1000000", "--k", "1000",
+        "norming", "--model", "exp-of-log", "--n", "1000000", "--k-policy", "fixed:1000",
         "--format", "json",
     ])
     assert code == 0
@@ -180,8 +181,6 @@ def test_test_command(capsys, tmp_path):
 
 
 def test_usage_errors(capsys, grid_file):
-    code, _, err = run(capsys, ["estimate", "--k", "31", "--k-policy", "sqrt", grid_file])
-    assert code == 1 and "either" in err
     code, _, err = run(capsys, ["estimate", "--k-policy", "what:1", grid_file])
     assert code == 1
     for spec in ("logpow:abc", "fixed:2.5"):
@@ -199,8 +198,44 @@ def test_usage_errors(capsys, grid_file):
 
 def test_domain_error_exit_code(capsys, grid_file):
     # k too deep for the file's thousand values
-    code, _, err = run(capsys, ["estimate", "--k", "5000", grid_file])
+    code, _, err = run(capsys, ["estimate", "--k-policy", "fixed:5000", grid_file])
     assert code == 2 and err
+
+
+def test_infeasible_fixed_k_is_domain_error(capsys):
+    code, out, err = run(capsys, ["norming", "--model", "normal", "--n", "1000",
+                                  "--k-policy", "fixed:5000"])
+    assert (code, out, err) == (2, "", "error: fixed k=5000 infeasible for n=1000\n")
+
+
+# k is set only by --k-policy; a --k, alone or beside --k-policy, is an
+# unknown option, not a prefix of --k-policy
+@pytest.mark.parametrize("flags", [["--k", "31"], ["--k", "31", "--k-policy", "sqrt"]],
+                         ids=["alone", "with-k-policy"])
+def test_k_option_is_unknown(capsys, grid_file, flags):
+    code, out, err = run(capsys, ["estimate", *flags, grid_file])
+    assert (code, out, err) == (1, "", f"error: unrecognized arguments: --k {grid_file}\n")
+
+
+# every option is named in full: a prefix of one is an unknown option, and
+# never stands in for a required one
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--model", "normal", "--n", "1000", "--rep", "2"],
+     "unrecognized arguments: --rep 2"),
+    (["norming", "--model", "normal", "--n", "1000", "--k-pol", "fixed:31"],
+     "unrecognized arguments: --k-pol fixed:31"),
+    (["estimate", "--k-pol", "sqrt", "<grid>"], "unrecognized arguments: --k-pol <grid>"),
+    (["ks", "--model", "normal", "--n", "1000", "--reps", "2", "--thresh", "0.5"],
+     "unrecognized arguments: --thresh 0.5"),
+    (["table", "--n-tot", "200"], "unrecognized arguments: --n-tot 200"),
+    (["test", "--form", "json", "<grid>"], "unrecognized arguments: --form <grid>"),
+    (["norming", "--mod", "normal", "--n", "1000"],
+     "the following arguments are required: --model"),
+], ids=["rep", "norming-k-pol", "estimate-k-pol", "thresh", "n-tot", "form", "mod"])
+def test_option_prefixes_are_refused(capsys, grid_file, argv, message):
+    argv = [grid_file if arg == "<grid>" else arg for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message.replace('<grid>', grid_file)}\n")
 
 
 NORMING = ["norming", "--model", "normal", "--n", "10000"]
@@ -224,7 +259,7 @@ SIMULATE = ["simulate", "--model", "normal", "--n", "1000", "--reps", "2"]
     ["test", "<nan>"],
     ["test", "<inf>"],
     ["ks", "--model", "normal", "--n", "4", "--log-scale"],
-    ["simulate", "--model", "normal", "--n", "10", "--k", "5", "--log-scale"],
+    ["simulate", "--model", "normal", "--n", "10", "--k-policy", "fixed:5", "--log-scale"],
 ])
 def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
     for i, arg in enumerate(argv):
@@ -240,7 +275,7 @@ def test_malformed_input_exits_with_message(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     # k/n = 1/2 puts the log-scale aux at Q(1/2) = 0, a division by zero
     ["ks", "--model", "normal", "--n", "4", "--log-scale"],
-    ["simulate", "--model", "normal", "--n", "10", "--k", "5", "--log-scale"],
+    ["simulate", "--model", "normal", "--n", "10", "--k-policy", "fixed:5", "--log-scale"],
     # m / n underflows to 0, so Q(1 - 1/n) is inf and b_n inf or nan
     ["norming", "--model", "iterlog(3)", "--n", str(10**280)],
     ["norming", "--model", "iterlog(3)", "--n", str(10**300), "--k-policy", "logpow:1",
@@ -344,10 +379,10 @@ def _cli_argv(draw):
     if command in ("norming", "simulate", "ks"):
         argv += ["--model", draw(MODELS), "--n", number(st.integers(-1, 3000))]
     if command != "table":
-        k = draw(st.sampled_from(["", "", "--k", "--k-policy", "--k-policy", "both"]))
-        if k in ("--k", "both"):
-            argv += ["--k", number(st.integers(1, 60))]
-        if k in ("--k-policy", "both"):
+        k = draw(st.sampled_from(["", "", "fixed", "spec", "spec"]))
+        if k == "fixed":
+            argv += ["--k-policy", "fixed:" + number(st.integers(1, 60))]
+        if k == "spec":
             argv += ["--k-policy", draw(K_SPECS)]
     if command in ("simulate", "ks"):
         maybe("--reps", lambda: number(st.integers(0, 4)))
@@ -539,9 +574,9 @@ def test_sample_file_is_opened_as_text_by_the_cli(capsys, monkeypatch, grid_file
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    code, out, err = run(capsys, ["estimate", "--k", "31", str(gz)])
+    code, out, err = run(capsys, ["estimate", "--k-policy", "fixed:31", str(gz)])
     assert (code, err, opened) == (0, "", [str(gz)])
-    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    code, expected, _ = run(capsys, ["estimate", "--k-policy", "fixed:31", grid_file])
     assert out.splitlines()[1:] == expected.splitlines()[1:]
 
 
@@ -561,7 +596,7 @@ def test_numpy_reads_the_cli_handle_by_its_fd_name(capsys, monkeypatch, grid_fil
 
     monkeypatch.setattr(cli, "open", fd_open, raising=False)
     monkeypatch.setattr(np, "loadtxt", spy)
-    code, out, err = run(capsys, ["estimate", "--k", "31", grid_file])
+    code, out, err = run(capsys, ["estimate", "--k-policy", "fixed:31", grid_file])
     assert (code, err) == (0, "")
     assert names == [f"/dev/fd/{fd}" for fd in fds] and len(fds) == 1
 
@@ -594,11 +629,11 @@ def test_pipe_whose_writer_has_closed_is_read_from_the_handle(capsys, monkeypatc
     writer.start()
     watchdog.start()
     try:
-        code, out, err = run(capsys, ["estimate", "--k", "31", str(fifo)])
+        code, out, err = run(capsys, ["estimate", "--k-policy", "fixed:31", str(fifo)])
     finally:
         watchdog.cancel()
     assert (code, err, fired) == (0, "", [])
-    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    code, expected, _ = run(capsys, ["estimate", "--k-policy", "fixed:31", grid_file])
     assert out.splitlines()[1:] == expected.splitlines()[1:]
 
 
@@ -621,9 +656,9 @@ def test_url_shaped_sample_name_is_read_as_plain_text(capsys, monkeypatch, grid_
     (tmp_path / "http:" / "host").mkdir(parents=True)
     shutil.copyfile(grid_file, tmp_path / "http:" / "host" / "x")
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, ["estimate", "--k", "31", "http://host/x"])
+    code, out, err = run(capsys, ["estimate", "--k-policy", "fixed:31", "http://host/x"])
     assert (code, err) == (0, "")
-    code, expected, _ = run(capsys, ["estimate", "--k", "31", grid_file])
+    code, expected, _ = run(capsys, ["estimate", "--k-policy", "fixed:31", grid_file])
     assert out.splitlines()[1:] == expected.splitlines()[1:]
 
 
@@ -745,7 +780,7 @@ def _echo(out: str, fmt: str) -> dict:
 # the exact echoed config, key order included; "<grid>" and "<exp>" stand
 # for the input paths
 GOLDEN_ECHOES = [
-    (["estimate", "--k", "31", "<grid>"],
+    (["estimate", "--k-policy", "fixed:31", "<grid>"],
      {"command": "estimate", "k_policy": "fixed:31", "log_scale": False, "format": "text",
       "path": "<grid>"}),
     (["test", "--k-policy", "logpow:2.0", "--format", "json", "<exp>"],
@@ -755,7 +790,7 @@ GOLDEN_ECHOES = [
      {"command": "norming", "model": "normal", "n": 10000, "k_policy": "sqrt",
       "log_scale": False, "format": "text"}),
     (["simulate", "--model", "pareto", "--log-scale", "--n", "1000", "--reps", "3",
-      "--seed", "9", "--stream", "2", "--k", "20", "--format", "json"],
+      "--seed", "9", "--stream", "2", "--k-policy", "fixed:20", "--format", "json"],
      {"command": "simulate", "model": "pareto", "n": 1000, "k_policy": "fixed:20", "reps": 3,
       "seed": 9, "stream": 2, "log_scale": True, "format": "json"}),
     (["simulate", "--model", "normal", "--n", "1000", "--reps", "3", "--format", "csv"],
@@ -849,8 +884,10 @@ def test_memory_error_is_domain_error(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,n", [
     (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1"], 10**20),
     (["table", "--n-total", "<n>"], 10**20),
-    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1", "--k", str(10**14)], 10**15),
-    (["ks", "--model", "normal", "--n", "<n>", "--reps", "1", "--k", str(10**14)], 10**15),
+    (["simulate", "--model", "normal", "--n", "<n>", "--reps", "1",
+      "--k-policy", f"fixed:{10**14}"], 10**15),
+    (["ks", "--model", "normal", "--n", "<n>", "--reps", "1", "--k-policy", f"fixed:{10**14}"],
+     10**15),
     (["table", "--n-total", "<n>"], 10**15),
 ], ids=["simulate", "table", "simulate-malloc", "ks-malloc", "table-malloc"])
 def test_too_large_n_is_domain_error(capsys, argv, n):
@@ -925,7 +962,7 @@ def test_replicates_at_large_n_run_in_memory_below_the_sample():
 @pytest.mark.parametrize("argv", [
     ["norming", "--model", "normal", "--n", str(10**400)],
     ["norming", "--model", "normal", "--n", str(10**400), "--k-policy", "logpow:2"],
-    ["norming", "--model", "normal", "--n", str(10**400), "--k", "5"],
+    ["norming", "--model", "normal", "--n", str(10**400), "--k-policy", "fixed:5"],
     ["simulate", "--model", "normal", "--n", str(10**400), "--reps", "1"],
     ["ks", "--model", "normal", "--n", str(10**400), "--reps", "1"],
 ], ids=["norming-sqrt", "norming-logpow", "norming-fixed-k", "simulate", "ks"])

@@ -374,6 +374,25 @@ def test_norming_rejects_k_one():
         norming(get_model("exp-of-log"), 1000, 1)
 
 
+@pytest.mark.parametrize("n,k,name", [("100", 10, "n"), (None, 10, "n"), (True, 10, "n"),
+                                      (1000, "10", "k"), (1000, None, "k"), (1000, True, "k"),
+                                      (1000, np.bool_(True), "k")])
+def test_norming_refuses_an_n_or_k_that_is_not_a_real_number(n, k, name):
+    value = n if name == "n" else k
+    message = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        norming(get_model("normal"), n, k)
+
+
+def test_norming_takes_real_and_numpy_n_and_k():
+    model = get_model("exp-of-log")
+    expected = norming(model, 10**6, 1000)
+    for n, k in ((1e6, 1000.0), (np.int64(10**6), np.int32(1000)),
+                 (np.float64(1e6), np.float32(1000))):
+        nc = norming(model, n, k)
+        assert (nc.a_n, nc.b_n, nc.lam) == (expected.a_n, expected.b_n, expected.lam)
+
+
 def test_norming_rejects_nonpositive_a_n():
     # a_n = r(k/n), and aux refuses an r that is not positive
     zero_aux = TailModel(name="zero-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: 0.0)
@@ -649,6 +668,13 @@ def test_iterated_c_n_guards():
             with pytest.raises(DomainError, match=rf"^need 16 <= n < inf, got {n}$"):
                 iterated_c_n(p, n)
         assert math.isfinite(iterated_c_n(p, 10**400))
+    # an n that is not an int, float or numpy real number is refused by name
+    for n in ("100", None, True, np.bool_(True)):
+        message = rf"^n must be a real number, got {re.escape(repr(n))}$"
+        with pytest.raises(DomainError, match=message):
+            iterated_c_n(1, n)
+    for n in (np.float64(1e6), np.int64(10**6)):
+        assert iterated_c_n(1, n) == iterated_c_n(1, 1e6)
 
 
 def test_iterated_log_spec_validation():
