@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GumbelTailError
-from .estimators import KPolicy, SortedSample, _as_int, select_k
+from .estimators import KPolicy, SortedSample, _as_int, _as_real, select_k
 from .models import NormingConstants, TailModel, norming
 
 
@@ -352,7 +352,7 @@ def run_replicates(
 
 def gumbel_cdf(x, lambda_scale: float):
     """CDF of the lambda-scaled Gumbel law, exp(-e^(-x / lambda))."""
-    if not (math.isfinite(lambda_scale) and lambda_scale > 0.0):
+    if not 0.0 < _as_real(lambda_scale, "lambda scale") < math.inf:
         raise DomainError(f"lambda scale must be finite and positive, got {lambda_scale}")
     return np.exp(-np.exp(-np.asarray(x, dtype=float) / lambda_scale))
 
@@ -360,7 +360,7 @@ def gumbel_cdf(x, lambda_scale: float):
 def check_ks_threshold(threshold: float | None) -> None:
     """A given KS pass threshold must be finite and positive; None means
     the default."""
-    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
+    if threshold is not None and not 0.0 < _as_real(threshold, "KS threshold") < math.inf:
         raise DomainError(f"KS threshold must be finite and > 0, got {threshold}")
 
 

@@ -29,8 +29,8 @@ def _as_int(value, message: str) -> int:
 
 
 def _as_real(value, name: str):
-    """The rule for a real-valued n or k: a float or a numpy float is returned
-    as it is, and anything else must pass _as_int, which refuses a bool."""
+    """The package's one rule for a scalar real: a float or a numpy float is
+    returned as it is, and anything else must pass _as_int, which refuses a bool."""
     real = isinstance(value, (float, np.floating))
     return value if real else _as_int(value, f"{name} must be a real number")
 
@@ -81,7 +81,7 @@ class KPolicy:
         if ((self.ell is not None and self.kind != "logpow")
                 or (self.k is not None and self.kind != "fixed")):
             raise DomainError(f"{self.kind} policy given a parameter it does not take: {self!r}")
-        if self.kind == "logpow" and not (self.ell is not None and 0.0 < self.ell < math.inf):
+        if self.kind == "logpow" and not 0.0 < _as_real(self.ell, "ell") < math.inf:
             raise DomainError(f"logpow policy requires a finite ell > 0, got {self.ell}")
         if self.kind == "fixed":
             object.__setattr__(self, "k", _as_int(self.k, "fixed policy requires an integer k"))
@@ -103,6 +103,8 @@ class KPolicy:
     @classmethod
     def parse(cls, spec: str) -> "KPolicy":
         """Parse "sqrt", "logpow:<ell>" or "fixed:<k>"."""
+        if not isinstance(spec, str):
+            raise DomainError(f"cannot parse k-policy spec: {spec!r}")
         head, _, tail = spec.partition(":")
         if head == "sqrt" and not tail:
             return cls.sqrt()

@@ -56,7 +56,7 @@ class TailModel:
     upper_quantile as a float array; sf clamps x to the support
     [lower_endpoint, +inf), so survival, 1 - F(x), need only be right on it;
     aux(u), the auxiliary scale r (aux_r when cataloged, else rho_numeric),
-    takes u strictly inside (0, 1) and returns only a positive finite r.
+    takes a real u strictly inside (0, 1) and returns only a positive finite r.
     survival is optional and needed only where r must come from quadrature.
     """
 
@@ -89,8 +89,8 @@ class TailModel:
         return self.survival(x)
 
     def aux(self, u: float) -> float:
-        """r(u) as a float, for 0 < u < 1 (NaN fails) and 0 < r < inf only."""
-        if not 0.0 < u < 1.0:
+        """r(u) as a float, for a real 0 < u < 1 (NaN fails) and 0 < r < inf only."""
+        if not 0.0 < _as_real(u, "u") < 1.0:
             raise DomainError(f"{self.name} aux needs 0 < u < 1, got u = {u}")
         r = rho_numeric(self, u) if self.aux_r is None else self.aux_r(u)
         if not 0.0 < r < math.inf:
@@ -116,7 +116,7 @@ def rho_numeric(model: TailModel, u: float) -> float:
     Agrees with the cataloged aux_r to 1e-4 relative wherever that form is
     exact; against asymptotic-only forms the agreement holds in the limit.
     """
-    if not 0.0 < u < 1.0:
+    if not 0.0 < _as_real(u, "u") < 1.0:
         raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
     if u < 1e-11:
         raise DomainError(f"u={u} too small for a stable difference step")
@@ -155,7 +155,8 @@ def _tail_cutoff(model: TailModel, t: float, floor: float) -> float:
 def mean_excess_R(model: TailModel, t: float) -> float:
     """Mean excess R(t) = E[X - t | X > t] by adaptive quadrature of the
     survival function on (t, inf), truncated where the survival falls below
-    1e-18 of its value at t; DomainError if it never does."""
+    1e-18 of its value at t, all in doubles; DomainError if it never does."""
+    t = float(_as_real(t, "t"))
     st = float(model.sf(t))
     if not model.mean_excess_finite:
         raise DomainError(f"mean excess diverges for model {model.name!r}")
@@ -338,15 +339,10 @@ def _iterated_scale(base: float, p: int) -> float:
     return out
 
 
-def _check_depth(p: int) -> int:
-    if not 1 <= (p := _as_int(p, "iterated-log depth must be 1, 2 or 3")) <= 3:
-        raise DomainError(f"iterated-log depth must be 1, 2 or 3, got {p}")
-    return p
-
-
 def iterated_c_n(p: int, n: int) -> float:
     """Norming factor (2 log n) * prod_{h=1}^{p-1} log_h((2 log n)^{1/2})."""
-    p = _check_depth(p)
+    if not 1 <= (p := _as_int(p, "iterated-log depth must be 1, 2 or 3")) <= 3:
+        raise DomainError(f"iterated-log depth must be 1, 2 or 3, got {p}")
     if not 16 <= _as_real(n, "n") < math.inf:
         raise DomainError(f"need 16 <= n < inf, got {n}")
     return _iterated_scale(2.0 * math.log(n), p)

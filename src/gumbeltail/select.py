@@ -17,8 +17,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .estimators import (KPolicy, SortedSample, _as_int, _check_k, de_haan_resnick_log_scale,
-                         select_k)
+from .estimators import (KPolicy, SortedSample, _as_int, _as_real, _index_k,
+                         de_haan_resnick_log_scale, select_k)
 
 _LN2 = math.log(2.0)
 _TIE_TOL = 1e-9
@@ -69,10 +69,9 @@ def verdict(t: float, n: int, k: int) -> ModelVerdict:
     """The model test on a finite log-scale estimate t = T_n >= 0 at (n, k), with
     integers n >= 100 and 2 <= k < n."""
     n = _as_int(n, "n must be an integer")
-    k = _as_int(k, "k must be an integer")
     _check_n(n)
-    _check_k(k, n)
-    if not 0.0 <= t < math.inf:  # a spacing over log k is never negative
+    k = _index_k(k, n)
+    if not 0.0 <= _as_real(t, "T_n") < math.inf:  # a spacing over log k is never negative
         raise DomainError(f"T_n must be finite and >= 0, got {t}")
     log_n = math.log(n)
     log_nk = math.log(n / k)

@@ -106,6 +106,10 @@ def test_k_policy_parse_round_trip():
     for spec in ("nope:1", "sqrt:2", "logpow:", "logpow:abc", "fixed:2.5", "fixed:x"):
         with pytest.raises(DomainError, match=f"^cannot parse k-policy spec: '{spec}'$"):
             KPolicy.parse(spec)
+    # a spec that is not a str raised AttributeError
+    for spec in (None, 5):
+        with pytest.raises(DomainError, match=f"^cannot parse k-policy spec: {spec}$"):
+            KPolicy.parse(spec)
     # a well-formed number keeps the policy's own rule
     with pytest.raises(DomainError, match="logpow policy requires a finite ell > 0"):
         KPolicy.parse("logpow:-1")

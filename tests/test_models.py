@@ -376,7 +376,7 @@ def test_norming_rejects_k_one():
 
 @pytest.mark.parametrize("n,k,name", [("100", 10, "n"), (None, 10, "n"), (True, 10, "n"),
                                       (1000, "10", "k"), (1000, None, "k"), (1000, True, "k"),
-                                      (1000, np.bool_(True), "k")])
+                                      (1000, np.bool_(True), "k"), (np.bool_(True), 10, "n")])
 def test_norming_refuses_an_n_or_k_that_is_not_a_real_number(n, k, name):
     value = n if name == "n" else k
     message = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
