@@ -18,11 +18,12 @@ replicate loop (_order_stats) instead walks the seed states of a run's
 streams, hashed in blocks of 1024 as uint32 array arithmetic equal to
 SeedSequence bit for bit (its hash constants do not depend on the entropy),
 and hands each state to PCG64 through the replicate's RngSpec, wrapped in a
-_SeedState, which registers itself as a numpy ISeedSequence when first built.
+_SeedState, which numpy takes as an ISeedSequence.
 
-Every draw is a run of raw 64-bit PCG64 outputs x, through numpy's
-full-range ``integers`` path, which copies them with no bound applied, and
-the 53-bit draw is x >> 11. That is bit for bit what
+Every draw is a run of raw 64-bit PCG64 outputs x, ``PCG64.random_raw``,
+reached through the full-range ``integers`` call of the replicate's
+generator (numpy's own full-range path returns the same outputs, with no
+bound applied), and the 53-bit draw is x >> 11. That is bit for bit what
 ``Generator.integers(0, 2**53)`` returns: numpy bounds a 64-bit draw by
 Lemire's multiply-shift method (Lemire 2019, Fast random integer
 generation in an interval), whose rejection threshold
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GumbelTailError
-from .estimators import KPolicy, SortedSample, _as_int, _as_real, select_k
+from .estimators import KPolicy, SortedSample, _as_int, _as_real, _as_real_array, select_k
 from .models import NormingConstants, TailModel, norming
 
 
@@ -135,25 +136,40 @@ def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
 
 class _SeedState:
     """A precomputed PCG64 seed state, handed to numpy's PCG64 through its
-    ISeedSequence interface (registered on first construction, so that
-    importing this module does not load numpy.random). PCG64 asks it for 4
-    uint64 words, which is all it holds."""
+    ISeedSequence interface (registered by _generator_class). PCG64 asks it
+    for 4 uint64 words, which is all it holds."""
 
     __slots__ = ("state",)
 
     def __init__(self, state: np.ndarray):
-        _register_seed_state()
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.state
 
 
+_FULL_RANGE = (1 << 64) - 1
+
+
 @functools.cache
-def _register_seed_state() -> None:
+def _generator_class() -> type[np.random.Generator]:
+    """Register _SeedState as a numpy ISeedSequence and build the replicate
+    generator class, on first use, so that importing this module does not
+    load numpy.random. Its integers answers _draw's call (int size) with
+    random_raw, the same outputs without numpy's per-call overhead, and
+    passes every other call to numpy unchanged."""
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedState)
+
+    class _RawGenerator(np.random.Generator):
+        def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+            if (type(size) is int and type(low) is int and type(high) is int and dtype is np.uint64
+                    and endpoint is True and low == 0 and high == _FULL_RANGE):
+                return self.bit_generator.random_raw(size)
+            return super().integers(low, high, size, dtype, endpoint)
+
+    return _RawGenerator
 
 
 @dataclass(frozen=True)
@@ -179,8 +195,12 @@ class RngSpec:
                               f"stream={self.stream_id}")
 
     def generator(self) -> np.random.Generator:
+        """A numpy Generator on PCG64 seeded with SeedSequence([seed,
+        stream_id]), or with _state when set; its integers answers _draw
+        from PCG64.random_raw (see _generator_class)."""
+        generator_class = _generator_class()
         seed = [self.seed, self.stream_id] if self._state is None else _SeedState(self._state)
-        return np.random.Generator(np.random.PCG64(seed))
+        return generator_class(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -208,7 +228,7 @@ _SHIFT = 11  # a raw 64-bit output x gives the 53-bit draw x >> 11
 
 def _draw(generator: np.random.Generator, size: int) -> np.ndarray:
     """The generator's next size raw 64-bit PCG64 outputs, as uint64."""
-    return generator.integers(0, (1 << 64) - 1, size=size, dtype=np.uint64, endpoint=True)
+    return generator.integers(0, _FULL_RANGE, size=size, dtype=np.uint64, endpoint=True)
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -354,7 +374,7 @@ def gumbel_cdf(x, lambda_scale: float):
     """CDF of the lambda-scaled Gumbel law, exp(-e^(-x / lambda))."""
     if not 0.0 < _as_real(lambda_scale, "lambda scale") < math.inf:
         raise DomainError(f"lambda scale must be finite and positive, got {lambda_scale}")
-    return np.exp(-np.exp(-np.asarray(x, dtype=float) / lambda_scale))
+    return np.exp(-np.exp(-_as_real_array(x, "x") / lambda_scale))
 
 
 def check_ks_threshold(threshold: float | None) -> None:

@@ -35,6 +35,19 @@ def _as_real(value, name: str):
     return value if real else _as_int(value, f"{name} must be a real number")
 
 
+def _as_real_array(values, name: str) -> np.ndarray | float:
+    """The package's one rule for an array of reals: a float or a numpy
+    float64 is returned as it is, and anything else as a float array, where
+    its numpy dtype is integer or float; a str, None, object or bool is
+    DomainError("<name> must be real, got <values!r>")."""
+    if isinstance(values, float):
+        return values
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, got {values!r}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """An ascending sample of finite real values, the substrate of all
@@ -127,9 +140,10 @@ class KPolicy:
 
 
 def _check_n_in_float_range(n: int) -> None:
-    """An n above the largest float cannot enter the float arithmetic of k/n
-    and 1/n. The message keeps n an int: formatting it as a float overflows."""
-    if n > sys.float_info.max:
+    """An int n above the largest float cannot enter the float arithmetic of
+    k/n and 1/n (a float n cannot exceed it). The message keeps n an int:
+    formatting it as a float overflows."""
+    if isinstance(n, int) and n > sys.float_info.max:
         raise DomainError(f"n={n} is beyond the float range")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimators
 from .errors import AuxNotVanishing, DomainError
-from .estimators import _as_int, _as_real, _check_k
+from .estimators import _as_int, _as_real, _as_real_array, _check_k
 from .normal import normal_sf, normal_upper_quantile
 
 # Survival values below this fraction of the start point are treated as
@@ -39,8 +39,9 @@ _QUAD_RTOL = 1e-8
 def _quantile_arg(u, name: str) -> np.ndarray:
     """u as a float array, every entry in (0, 1], where each model's quantile
     is defined; u = 1 gives the lower endpoint. Raises DomainError otherwise,
-    NaN included. A 0-d u is compared as a float, which is cheaper."""
-    arr = np.asarray(u, dtype=float)
+    NaN included, and a u that is not real. A 0-d u is compared as a float,
+    which is cheaper."""
+    arr = np.asarray(_as_real_array(u, "u"))
     if not (0.0 < float(arr) <= 1.0 if arr.ndim == 0 else np.all((arr > 0.0) & (arr <= 1.0))):
         raise DomainError(f"{name} quantile needs 0 < u <= 1")
     return arr
@@ -80,12 +81,14 @@ class TailModel:
     def sf(self, x):
         """Survival 1 - F(x), clamping x to [lower_endpoint, inf) first (a float
         by max, cheaper than np.maximum): 1 at and below the endpoint, NaN at
-        NaN. Raises DomainError for a quantile-only model."""
+        NaN. Raises DomainError for a quantile-only model or an x that is not real."""
         if self.survival is None:
             raise DomainError(f"model {self.name!r} has no survival function")
         lo = self.lower_endpoint
-        if lo > -math.inf:
-            x = max(x, lo) if isinstance(x, float) else np.maximum(x, lo)
+        if isinstance(x, float):
+            x = max(x, lo)
+        else:
+            x = np.maximum(_as_real_array(x, "x"), lo)
         return self.survival(x)
 
     def aux(self, u: float) -> float:
@@ -93,6 +96,8 @@ class TailModel:
         if not 0.0 < _as_real(u, "u") < 1.0:
             raise DomainError(f"{self.name} aux needs 0 < u < 1, got u = {u}")
         r = rho_numeric(self, u) if self.aux_r is None else self.aux_r(u)
+        if not isinstance(r, float):  # the name is formatted only off the float path
+            r = _as_real(r, f"{self.name} aux r({u:g})")
         if not 0.0 < r < math.inf:
             raise DomainError(f"{self.name} aux r({u:g}) = {r} is not positive and finite")
         return float(r)
@@ -242,7 +247,7 @@ def transform_log(model: TailModel) -> TailModel:
             return np.log(model.quantile(a * u))
 
     def survival(x):
-        return np.asarray(model.sf(np.exp(np.asarray(x, dtype=float)))) / a
+        return np.asarray(model.sf(np.exp(x))) / a
 
     def aux(u: float) -> float:
         q = float(model.quantile(u))
@@ -387,7 +392,7 @@ def _exp_of_log_model() -> TailModel:
     return TailModel(
         "exp-of-log",
         quantile,
-        survival=lambda x: np.exp(-np.exp(np.asarray(x, dtype=float))),
+        survival=lambda x: np.exp(-np.exp(x)),
         aux_r=lambda u: 1.0 / math.log(1.0 / u),
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .estimators import _as_real_array
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -46,18 +47,18 @@ def _erfc(x):
 
 def normal_sf(x):
     """Upper tail 1 - Phi(x) without cancellation."""
-    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(_as_real_array(x, "x") / _SQRT2)
 
 
 def normal_ppf(p):
     """Inverse standard normal CDF.
 
     Accepts scalars or arrays with entries in [0, 1]; 0 and 1 map to
-    -inf/+inf. Raises DomainError outside [0, 1] and on NaN. Folds onto the
-    lower half by symmetry (1 - p is exact there), so both tails get the
-    full accuracy of the lower-tail branch.
+    -inf/+inf. Raises DomainError outside [0, 1], on NaN and on a p that is
+    not real. Folds onto the lower half by symmetry (1 - p is exact there),
+    so both tails get the full accuracy of the lower-tail branch.
     """
-    p = np.asarray(p, dtype=float)
+    p = _as_real_array(p, "p")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("p must lie in [0, 1]")
     ph = np.minimum(p, 1.0 - p)

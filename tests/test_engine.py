@@ -318,6 +318,44 @@ def test_draw_is_raw_pcg64_and_shifts_to_the_bounded_draw(size):
         assert np.array_equal(raw >> 11, bounded), seed
 
 
+FULL = (1 << 64) - 1
+# (args, kwargs) of Generator.integers: the engine's draw, then forms numpy answers
+CALL_FORMS = {
+    "draw": ((0, FULL), dict(size=1000, dtype=np.uint64, endpoint=True)),
+    "draw-positional-size": ((0, FULL, 7), dict(dtype=np.uint64, endpoint=True)),
+    "draw-empty": ((0, FULL), dict(size=0, dtype=np.uint64, endpoint=True)),
+    "full-range-tuple-size": ((0, FULL), dict(size=(2, 3), dtype=np.uint64, endpoint=True)),
+    "full-range-no-size": ((0, FULL), dict(dtype=np.uint64, endpoint=True)),
+    "full-range-numpy-size": ((0, FULL), dict(size=np.int64(5), dtype=np.uint64, endpoint=True)),
+    "full-range-numpy-high": ((0, np.uint64(FULL)), dict(size=5, dtype=np.uint64, endpoint=True)),
+    "full-range-str-dtype": ((0, FULL), dict(size=5, dtype="uint64", endpoint=True)),
+    "full-range-open-end": ((0, FULL), dict(size=5, dtype=np.uint64)),
+    "uint64-bound-2**53": ((0, 1 << 53), dict(size=5, dtype=np.uint64, endpoint=True)),
+    "uint64-low-2**32": ((1 << 32, FULL), dict(size=5, dtype=np.uint64, endpoint=True)),
+    "array-bounds": ((np.zeros(3, dtype=np.uint64), FULL), dict(dtype=np.uint64, endpoint=True)),
+    "one-bound": ((5,), dict(size=3)),
+    "bound-2**53": ((0, 1 << 53), dict(size=5)),
+    "bounded-int64": ((-10, 10), dict(size=5, dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("form", CALL_FORMS)
+def test_generator_integers_is_numpy_integers(form):
+    # the replicate generator answers the draw from PCG64.random_raw and
+    # passes every other call to numpy; either way it returns what numpy's
+    # own Generator returns, and the stream stays in step over two calls
+    args, kwargs = CALL_FORMS[form]
+    for seed, stream in ((0, 0), (42, 7), ((1 << 64) - 1, 1 << 40)):
+        for spec in (RngSpec(seed, stream), RngSpec(seed, stream, _state=_seed_states(seed, stream, 1)[0])):
+            generator = spec.generator()
+            assert isinstance(generator, np.random.Generator)
+            reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+            for _ in range(2):
+                got, want = generator.integers(*args, **kwargs), reference.integers(*args, **kwargs)
+                assert type(got) is type(want) and got.dtype == want.dtype, (form, seed)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (form, seed)
+
+
 @pytest.mark.parametrize("n,k", STREAM_CASES + [(1 << 18, 1 << 17)],
                          ids=[f"n{n}-k{k}" for n, k in STREAM_CASES] + ["n262144-half"])
 def test_streamed_replicates_match_sorted_reference_path(n, k):

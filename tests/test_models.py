@@ -153,6 +153,17 @@ def test_aux_returns_only_a_positive_finite_scale(r, text):
     assert type(good.aux(0.25)) is float and good.aux(0.25) == 0.5
 
 
+@pytest.mark.parametrize("r", [None, "0.5", True, np.True_])
+def test_aux_refuses_an_r_that_is_not_real(r):
+    # None and "0.5" raised TypeError from the range check; True was taken as 1
+    model = TailModel(name="odd-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: r)
+    with pytest.raises(DomainError) as info:
+        model.aux(0.1)
+    assert str(info.value) == f"odd-aux aux r(0.1) must be a real number, got {r!r}"
+    ints = TailModel(name="int-aux", upper_quantile=lambda u: -np.log(u), aux_r=lambda u: np.int64(2))
+    assert type(ints.aux(0.1)) is float and ints.aux(0.1) == 2.0
+
+
 WITH_SURVIVAL = [name for name in CATALOG if name != "mason"]
 
 # a hand-built model that states no support: before the endpoint was derived
@@ -391,6 +402,19 @@ def test_norming_takes_real_and_numpy_n_and_k():
                  (np.float64(1e6), np.float32(1000))):
         nc = norming(model, n, k)
         assert (nc.a_n, nc.b_n, nc.lam) == (expected.a_n, expected.b_n, expected.lam)
+
+
+@pytest.mark.parametrize("name", ["normal", "exp-of-log"])
+def test_norming_takes_a_float32_n(name):
+    # comparing a float32 n with the largest float cast that float to
+    # float32 and warned of an overflow; k/n and 1/n keep float32 precision
+    model = get_model(name)
+    expected = norming(model, 10**6, 1000)
+    for n, k in ((np.float32(1e6), 1000), (np.float32(1e6), np.float32(1000))):
+        nc = norming(model, n, k)
+        assert nc.a_n == pytest.approx(expected.a_n, rel=1e-7)
+        assert nc.b_n == pytest.approx(expected.b_n, rel=1e-7)
+        assert nc.lam == pytest.approx(expected.lam, rel=1e-7)
 
 
 def test_norming_rejects_nonpositive_a_n():

@@ -6,7 +6,8 @@ compared. norming's n and k are held to the same rule in test_models.py."""
 import numpy as np
 import pytest
 
-from gumbeltail import DomainError, KPolicy, get_model, iterated_c_n, select_k, verdict
+from gumbeltail import (DomainError, KPolicy, get_model, iterated_c_n, normal_ppf, normal_sf,
+                        select_k, verdict)
 from gumbeltail.engine import gumbel_cdf, ks_distance
 from gumbeltail.models import mean_excess_R, rho_numeric
 
@@ -57,3 +58,44 @@ def test_real_arguments_take_floats_and_integers(name):
     if float(good).is_integer():
         assert call(int(good)) == expected
         assert call(np.int64(good)) == expected
+
+
+# The array rule: every array-valued entry point takes a float, an integer,
+# or a list or array of them, and refuses a str, None, bool or object input
+# with DomainError("<name> must be real, got <value!r>").
+# (entry point, an in-range value exact in float32, the name its refusal gives)
+ARRAY_CASES = {
+    "quantile-u": (NORMAL.quantile, 0.5, "u"),
+    "exponential-quantile-u": (get_model("exponential").quantile, 1, "u"),
+    "sf-x": (NORMAL.sf, 2, "x"),
+    "exponential-sf-x": (get_model("exponential").sf, 2, "x"),
+    "normal-sf-x": (normal_sf, 2, "x"),
+    "normal-ppf-p": (normal_ppf, 0.25, "p"),
+    "gumbel-cdf-x": (lambda v: gumbel_cdf(v, 1.0), 2, "x"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_array_arguments_refuse_a_str_none_bool_or_object(name):
+    # quantile("0.5") was -0.0 and normal_ppf("0.5") 0.0; sf(None),
+    # normal_sf(None) and gumbel_cdf(None, 1.0) were nan; a bool array was 1.0
+    call, _, arg = ARRAY_CASES[name]
+    for bad in ("0.5", None, True, np.True_, np.array([True]), ["0.5"],
+                np.array([0.5], dtype=object), [0.5, None]):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == f"{arg} must be real, got {bad!r}"
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_array_arguments_take_floats_integers_and_arrays(name):
+    call, good, _ = ARRAY_CASES[name]
+    expected = call(float(good))
+    for same in (np.float64(good), np.float32(good), np.array(good)):
+        assert call(same) == expected
+    for array in ([good, good], np.array([good, good]), np.array([good, good], dtype=np.float32)):
+        assert np.array_equal(call(array), [expected, expected])
+    if float(good).is_integer():
+        for integer in (int(good), np.int64(good), np.uint8(good)):
+            assert call(integer) == expected
+        assert np.array_equal(call([int(good)] * 2), [expected, expected])
